@@ -285,24 +285,6 @@ func BenchmarkHiveIngestSerialBaseline(b *testing.B) {
 	benchIngest(b, &globalMutexClient{h: h}, pool)
 }
 
-// v2DecodeClient reproduces the PR-4 wire-worker ingest discipline for
-// pre-encoded batches: every trace is decoded into a fresh trace.Trace (6+
-// slice allocations each) before the per-program submit. It is the
-// measurable baseline the columnar view path is compared against.
-type v2DecodeClient struct{ h *hive.Hive }
-
-func (c *v2DecodeClient) submitEncoded(programID string, raws [][]byte) error {
-	traces := make([]*trace.Trace, len(raws))
-	for i, raw := range raws {
-		tr, err := trace.Decode(raw)
-		if err != nil {
-			return err
-		}
-		traces[i] = tr
-	}
-	return c.h.SubmitTracesFor(programID, traces)
-}
-
 // columnarViewClient is the zero-copy ingest path: one validated view over
 // the batch bytes, consumed in place.
 type columnarViewClient struct{ h *hive.Hive }
@@ -317,44 +299,35 @@ func (c *columnarViewClient) submitEncoded(programID string, batch []byte) error
 	return err
 }
 
-// benchIngestEncodedSetup pre-encodes each program's trace pool both ways:
-// per-trace v2 payloads (batched 8 at a time, the PR-4 wire shape) and the
-// equivalent columnar batch payloads.
-func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, []string, [][][][]byte, [][][]byte) {
+// benchIngestEncodedSetup pre-encodes each program's trace pool into
+// columnar batch payloads of 8 traces — what the wire delivers.
+func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, []string, [][][]byte) {
 	b.Helper()
 	h, pool := benchIngestSetup(b, nProgs)
 	ids := make([]string, nProgs)
-	v2 := make([][][][]byte, nProgs)     // program -> batch -> trace -> bytes
 	columnar := make([][][]byte, nProgs) // program -> batch -> bytes
 	const batchSize = 8
 	for pi, traces := range pool {
 		ids[pi] = traces[0].ProgramID
 		for off := 0; off+batchSize <= len(traces); off += batchSize {
-			batch := traces[off : off+batchSize]
-			raws := make([][]byte, batchSize)
-			for i, tr := range batch {
-				raws[i] = trace.Encode(tr)
-			}
-			enc, err := trace.EncodeBatch(ids[pi], batch)
+			enc, err := trace.EncodeBatch(ids[pi], traces[off:off+batchSize])
 			if err != nil {
 				b.Fatal(err)
 			}
-			v2[pi] = append(v2[pi], raws)
 			columnar[pi] = append(columnar[pi], enc)
 		}
 	}
-	return h, ids, v2, columnar
+	return h, ids, columnar
 }
 
-// BenchmarkHiveIngestParallel measures the fleet ingest path — pre-encoded
-// batches (what the wire delivers), 8 goroutines round-robining across 4
-// program shards — under the two codec disciplines. The v2 sub-benchmark
-// is the PR-4 pipeline: per-trace decode into heap Trace structs, then
-// per-program submission. The columnar sub-benchmark is this PR's
-// tentpole: one zero-copy view per batch, merged straight from the frame
-// bytes. traces/op is constant, so ns/op and allocs/op compare directly.
-// The materialized sub-benchmark keeps the PR-1 in-process workload (no
-// codec at all) for continuity with BenchmarkHiveIngestSerialBaseline.
+// BenchmarkHiveIngestParallel measures the fleet ingest path, 8 goroutines
+// round-robining across 4 program shards. The columnar-view sub-benchmark
+// feeds pre-encoded batches (what the wire delivers): one zero-copy view
+// per batch, merged straight from the frame bytes. The materialized
+// sub-benchmark submits Trace structs in process (SubmitTraces, which
+// encodes each group once before the same view path), for continuity with
+// BenchmarkHiveIngestSerialBaseline. traces/op is constant, so ns/op and
+// allocs/op compare directly.
 func BenchmarkHiveIngestParallel(b *testing.B) {
 	const goroutines = 8
 	const batchSize = 8
@@ -390,15 +363,9 @@ func BenchmarkHiveIngestParallel(b *testing.B) {
 		}
 		b.ReportMetric(batchSize, "traces/op")
 	}
-	b.Run("v2-decode", func(b *testing.B) {
-		h, ids, v2, _ := benchIngestEncodedSetup(b, 4)
-		c := &v2DecodeClient{h: h}
-		run(b, func(pi, batch int) error { return c.submitEncoded(ids[pi], v2[pi][batch]) }, len(v2[0]))
-	})
 	b.Run("columnar-view", func(b *testing.B) {
-		h, ids, _, columnar := benchIngestEncodedSetup(b, 4)
+		h, ids, columnar := benchIngestEncodedSetup(b, 4)
 		c := &columnarViewClient{h: h}
-		_ = ids
 		run(b, func(pi, batch int) error { return c.submitEncoded(ids[pi], columnar[pi][batch]) }, len(columnar[0]))
 	})
 	b.Run("materialized", func(b *testing.B) {
@@ -542,10 +509,8 @@ func (n *nullHive) Guidance(string, int) ([]guidance.TestCase, error) {
 
 // benchWireSubmit submits the same 32 batches × 8 traces per op, either one
 // frame per round trip (the pre-pipelining discipline) or streamed through
-// the pipelined per-program path; columnar selects the batch encoding the
-// client negotiates (false pins the per-trace v2 codec, the PR-4
-// discipline).
-func benchWireSubmit(b *testing.B, pipelined, columnar bool) {
+// the pipelined sealed path.
+func benchWireSubmit(b *testing.B, pipelined bool) {
 	b.Helper()
 	p := benchProgram(b)
 	backend := &nullHive{}
@@ -557,7 +522,6 @@ func benchWireSubmit(b *testing.B, pipelined, columnar bool) {
 	}
 	defer srv.Close()
 	client := wire.Dial(addr)
-	client.DisableColumnar = !columnar
 	defer client.Close()
 
 	col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
@@ -583,12 +547,12 @@ func benchWireSubmit(b *testing.B, pipelined, columnar bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pipelined {
-			if _, err := client.SubmitTraceBatches(p.ID, all); err != nil {
+			if _, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all)); err != nil {
 				b.Fatal(err)
 			}
 		} else {
 			for _, batch := range all {
-				if err := client.SubmitTracesFor(p.ID, batch); err != nil {
+				if err := client.SubmitTraces(batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -603,15 +567,13 @@ func benchWireSubmit(b *testing.B, pipelined, columnar bool) {
 
 // BenchmarkWireSubmitSerial is the one-frame-per-roundtrip baseline the
 // pre-PR-2 server forced.
-func BenchmarkWireSubmitSerial(b *testing.B) { benchWireSubmit(b, false, false) }
+func BenchmarkWireSubmitSerial(b *testing.B) { benchWireSubmit(b, false) }
 
 // BenchmarkWireSubmitPipelined streams the same work through the pipelined
-// per-program submission path under both codecs: the v2 sub-benchmark pins
-// the per-trace encoding (the PR-4 discipline), columnar negotiates the
-// batch codec — same traces/op, so ns/op and allocs/op compare directly.
+// sealed submission path — same traces/op as the serial baseline, so ns/op
+// and allocs/op compare directly.
 func BenchmarkWireSubmitPipelined(b *testing.B) {
-	b.Run("v2", func(b *testing.B) { benchWireSubmit(b, true, false) })
-	b.Run("columnar", func(b *testing.B) { benchWireSubmit(b, true, true) })
+	b.Run("columnar", func(b *testing.B) { benchWireSubmit(b, true) })
 }
 
 // shapedCorpus captures varied real traces (distinct inputs, real branch
@@ -689,7 +651,7 @@ func BenchmarkShapedSubmit(b *testing.B) {
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						accepted, err := client.SubmitTraceBatches(p.ID, all)
+						accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all))
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -16,9 +16,9 @@
 //
 // With -peers the hive is one member of a sharded fleet: a consistent-hash
 // ring over the peer addresses (seeded by -ring-seed, which the whole
-// fleet must share) assigns every program an owner. Misdirected frames
-// from ring-aware clients are answered with a redirect to the owner;
-// frames from older clients are proxied server-side. SIGHUP triggers a
+// fleet must share) assigns every program an owner. Misdirected
+// submissions are answered with a redirect to the owner; fix and guidance
+// reads are proxied to it server-side. SIGHUP triggers a
 // rebalance: peers are probed, dead ones are dropped from the ring, and
 // the bumped placement map is installed and advertised on the next hello.
 //
@@ -92,8 +92,7 @@ func run(args []string) error {
 	archiveDir := fs.String("archive-dir", "", "archive object-store directory: snapshot chains and sealed WAL segments are tiered here in the background (requires -data-dir)")
 	archiveEvery := fs.Duration("archive-every", time.Minute, "background archive sync interval (0 disables; requires -archive-dir)")
 	diskBudget := fs.Int64("disk-budget", 0, "local data-dir byte budget: archived chains past it are pruned to tether markers and rehydrated from the archive on demand (0 keeps everything local; requires -archive-dir)")
-	maxFrame := fs.Int("max-frame", 0, "cap on the frame-size raise granted to WAN clients in bytes (0 uses the built-in maximum; never drops below the universal frame limit)")
-	noWAN := fs.Bool("no-wan", false, "refuse the WAN transport features (coalesced mega-frames, compressed batches, frame-size raises) in hello grants")
+	maxFrame := fs.Int("max-frame", 0, "cap on the frame-size raise a client's hello is granted, in bytes (0 uses the built-in maximum; never drops below the universal frame limit)")
 	sessRate := fs.Float64("max-sessions-rate", 0, "per-session admission rate in traces/sec; over-rate clients get busy-retry replies (0 disables)")
 	ingestQueue := fs.Int64("ingest-queue", 0, "server-wide ingest queue budget in bytes: per-conn reads pause at 1/4 of this, and queued/budget is the shed pressure gauge (0 disables)")
 	shedWatermark := fs.Float64("shed-watermark", 0, "pressure in [0,1) past which batches are priced and the cheapest shed; 0 disables shedding, negative selects the default watermark (requires -ingest-queue)")
@@ -192,7 +191,6 @@ func run(args []string) error {
 
 	srv := wire.NewServer(h)
 	srv.MaxFrame = *maxFrame
-	srv.DisableWAN = *noWAN
 	if *sessRate > 0 || *ingestQueue > 0 || *frameTimeout > 0 || *maxConns > 0 || *maxHalfOpen > 0 {
 		adm := &wire.Admission{
 			SessionRate:  *sessRate,
@@ -382,8 +380,8 @@ func run(args []string) error {
 					ss.Admitted, ss.AdmittedFirstSight, ss.ShedDuplicate, ss.ShedCovered, ss.Deferred)
 			}
 			if as := srv.AdmissionStats(); as != (wire.AdmissionStats{}) {
-				fmt.Printf("admission: busy=%d readonly-busy=%d paced=%d slow-evicted=%d rejected=%d queued=%dB pressure=%.2f\n",
-					as.BusyReplies, as.ReadOnlyBusy, as.PacedFrames, as.SlowLorisEvicted, as.ConnsRejected, as.QueuedBytes, as.Pressure)
+				fmt.Printf("admission: busy=%d readonly-busy=%d slow-evicted=%d rejected=%d queued=%dB pressure=%.2f\n",
+					as.BusyReplies, as.ReadOnlyBusy, as.SlowLorisEvicted, as.ConnsRejected, as.QueuedBytes, as.Pressure)
 			}
 			if arch != nil {
 				st := arch.Stats()

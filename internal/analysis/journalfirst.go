@@ -21,19 +21,18 @@ type journalGuard struct {
 // A handler calling an apply helper directly would mutate state that a
 // crash forgets — the exact bug class the journal exists to prevent.
 var journalGuards = []journalGuard{
-	{callee: "applyBatch", callers: set("ingest", "applyOp")},
 	{callee: "applyBatchView", callers: set("ingestView", "applyOp")},
 	// Fix synthesis journals its own outcome op; it may only be elected
-	// from within an applied batch (both apply paths), never ad hoc.
-	{callee: "synthesizeFix", callers: set("applyBatch", "applyBatchView")},
+	// from within an applied batch, never ad hoc.
+	{callee: "synthesizeFix", callers: set("applyBatchView")},
 	// The dedup window must only advance for journaled (or replayed)
 	// frames; marking a session outside those paths would let a crash
 	// acknowledge-and-forget a frame.
-	{callee: "markSession", callers: set("ingest", "ingestView", "applyOp", "mergeSessions")},
+	{callee: "markSession", callers: set("ingestView", "applyOp", "mergeSessions")},
 	// PR 10: the read-only breaker's failure accounting wraps every live
 	// batch append. Appending to the journal around the wrapper would let
 	// a full disk fail silently without ever tripping the breaker.
-	{callee: "journalBatchAppend", callers: set("ingest", "ingestView")},
+	{callee: "journalBatchAppend", callers: set("ingestView")},
 	// The breaker may only close once a checkpoint has landed durably —
 	// closing it anywhere else would ack ingest into an unproven journal.
 	{callee: "closeReadOnly", callers: set("CheckpointProgram")},
@@ -54,10 +53,10 @@ func set(names ...string) map[string]bool {
 // internal/hive.
 var JournalFirst = &Analyzer{
 	Name: "journalfirst",
-	Doc: "in internal/hive, live-mutation helpers (applyBatch, applyBatchView, " +
+	Doc: "in internal/hive, live-mutation helpers (applyBatchView, " +
 		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly, " +
-		"entryLocked) are reachable only from journaled wrappers (ingest, " +
-		"ingestView), recovery replay (applyOp/mergeSessions), or the " +
+		"entryLocked) are reachable only from the journaled wrapper " +
+		"(ingestView), recovery replay (applyOp/mergeSessions), or the " +
 		"checkpoint path (CheckpointProgram); calling them from handlers " +
 		"would apply state a crash forgets or bypass the read-only breaker",
 	Run: runJournalFirst,

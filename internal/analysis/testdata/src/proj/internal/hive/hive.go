@@ -27,11 +27,6 @@ type sessionEntry struct {
 	seen int
 }
 
-func (h *Hive) applyBatch(st *programState) {
-	st.applied++
-	h.synthesizeFix(st)
-}
-
 func (h *Hive) applyBatchView(st *programState) {
 	st.applied++
 	h.synthesizeFix(st)
@@ -46,16 +41,10 @@ func (h *Hive) mergeSessions(a, b string) {
 	_ = h.entryLocked(b)
 }
 
-// ingest is a sanctioned journaled wrapper; it appends through the
+// ingestView is the sanctioned journaled wrapper; it appends through the
 // breaker-accounted wrapper before applying. Clean.
-func (h *Hive) ingest(st *programState) {
-	_ = h.journalBatchAppend(st)
-	h.markSession("s")
-	h.applyBatch(st)
-}
-
-// ingestView is a sanctioned journaled wrapper. Clean.
 func (h *Hive) ingestView(st *programState) {
+	_ = h.journalBatchAppend(st)
 	h.markSession("s")
 	h.applyBatchView(st)
 }
@@ -63,13 +52,7 @@ func (h *Hive) ingestView(st *programState) {
 // applyOp is the sanctioned recovery/replay path. Clean.
 func (h *Hive) applyOp(st *programState) {
 	h.markSession("s")
-	h.applyBatch(st)
 	h.applyBatchView(st)
-}
-
-// handleDirect mutates program state without journaling. Finding expected.
-func (h *Hive) handleDirect(st *programState) {
-	h.applyBatch(st)
 }
 
 // handleDirectView skips the journaled view wrapper. Finding expected.
@@ -86,7 +69,7 @@ func (h *Hive) touchSession(id string) {
 // replayHook is a deliberate exception: the suppression must silence it.
 func (h *Hive) replayHook(st *programState) {
 	//lint:allow journalfirst test-only replay hook; never reachable in production
-	h.applyBatch(st)
+	h.applyBatchView(st)
 }
 
 // journalBatchAppend mirrors the PR 10 breaker-accounted append wrapper.

@@ -10,12 +10,8 @@ import (
 	"repro/internal/journal"
 )
 
-func batchOp(session string, seq uint64, traces ...string) *journal.Op {
-	op := &journal.Op{Kind: journal.OpBatch, Session: session, Seq: seq}
-	for _, tr := range traces {
-		op.Traces = append(op.Traces, []byte(tr))
-	}
-	return op
+func batchOp(session string, seq uint64, raw string) *journal.Op {
+	return &journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: []byte(raw)}
 }
 
 func replayOps(t *testing.T, s *journal.Store, programID string) []*journal.Op {

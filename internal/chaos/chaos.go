@@ -250,7 +250,7 @@ func Run(sc Scenario) (Result, error) {
 			defer workers.Done()
 			for j := range work {
 				t0 := time.Now()
-				accepted, err := router.SubmitTraceBatches(j.programID, j.batches)
+				accepted, err := router.SubmitSealed(router.SealTraceBatches(j.programID, j.batches))
 				lat := time.Since(t0)
 				mu.Lock()
 				res.Submitted += int64(len(j.batches))
@@ -309,7 +309,7 @@ func Run(sc Scenario) (Result, error) {
 				cp := corpus[i]
 				var err error
 				for attempt := 0; attempt < 20; attempt++ {
-					if err = router.SubmitTracesFor(cp.p.ID, []*trace.Trace{cp.crash}); err == nil {
+					if err = router.SubmitTraces([]*trace.Trace{cp.crash}); err == nil {
 						break
 					}
 					time.Sleep(5 * time.Millisecond)
@@ -352,7 +352,6 @@ func Run(sc Scenario) (Result, error) {
 		}
 		as := nd.srv.AdmissionStats()
 		res.Admission.BusyReplies += as.BusyReplies
-		res.Admission.PacedFrames += as.PacedFrames
 		res.Admission.SlowLorisEvicted += as.SlowLorisEvicted
 		res.Admission.ConnsRejected += as.ConnsRejected
 		res.Admission.QueuedBytes += as.QueuedBytes

@@ -28,7 +28,7 @@ func HostileFrames(seed uint64) [][]byte {
 	// allocation of that magnitude.
 	over := make([]byte, 5)
 	binary.BigEndian.PutUint32(over, uint32(wire.MaxFrameSize+1))
-	over[4] = byte(wire.MsgSubmitTraces)
+	over[4] = byte(wire.MsgSubmitBatchColumnar)
 	frames = append(frames, over)
 	// Unknown message type carrying a large-but-legal claim and no body:
 	// the reader must not wait forever for bytes that never come, and the
@@ -37,13 +37,19 @@ func HostileFrames(seed uint64) [][]byte {
 	binary.BigEndian.PutUint32(unknown, 1<<20)
 	unknown[4] = 0xee
 	frames = append(frames, unknown)
-	// Well-formed header, garbage payloads: JSON decoders and the
-	// columnar codec see attacker-controlled bytes.
-	for _, mt := range []wire.MsgType{wire.MsgHello, wire.MsgSubmitTraces, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {
+	// Well-formed header, garbage payloads: the hello JSON decoder, the
+	// inflater, the columnar codec and the coalesced splitter see
+	// attacker-controlled bytes. Submissions are refused before hello, so
+	// those streams say a valid hello first.
+	hello := []byte{0, 0, 0, 3, byte(wire.MsgHello), '{', '}'}
+	for _, mt := range []wire.MsgType{wire.MsgHello, wire.MsgSubmitBatchCompressed, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {
 		body := []byte(`{"truncated":`)
-		f := make([]byte, 5, 5+len(body))
-		binary.BigEndian.PutUint32(f, uint32(1+len(body)))
-		f[4] = byte(mt)
+		var f []byte
+		if mt != wire.MsgHello {
+			f = append(f, hello...)
+		}
+		f = binary.BigEndian.AppendUint32(f, uint32(1+len(body)))
+		f = append(f, byte(mt))
 		frames = append(frames, append(f, body...))
 	}
 	// A coalesced frame whose inner frame lies about its own length.
@@ -80,7 +86,7 @@ func SlowLoris(addr string, interval time.Duration, stop <-chan struct{}) error 
 	defer conn.Close()
 	payload := make([]byte, 5, 5+4096)
 	binary.BigEndian.PutUint32(payload, 4097)
-	payload[4] = byte(wire.MsgSubmitTraces)
+	payload[4] = byte(wire.MsgSubmitBatchColumnar)
 	payload = append(payload, make([]byte, 4096)...)
 	for i := range payload {
 		if _, err := conn.Write(payload[i : i+1]); err != nil {

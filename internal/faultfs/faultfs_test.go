@@ -113,7 +113,7 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 			const program = "prog-storm"
 			var acked []uint64
 			for seq := uint64(1); seq <= 200; seq++ {
-				op := &journal.Op{Kind: journal.OpBatch, Session: "s", Seq: seq, Traces: [][]byte{{byte(seq)}}}
+				op := &journal.Op{Kind: journal.OpBatchColumnar, Session: "s", Seq: seq, Raw: []byte{byte(seq)}}
 				if err := st.Append(program, op); err == nil {
 					acked = append(acked, seq)
 				}

@@ -37,9 +37,10 @@ func captureMixed(t *testing.T, p *prog.Program, n int) []*trace.Trace {
 
 // TestColumnarIngestMatchesV2 is the ingest-equivalence property behind the
 // zero-copy path: feeding a batch through the view-based columnar apply
-// must leave the hive in exactly the state the materialized per-trace path
-// produces — same counters, same reconstruction, same failure aggregation
-// and minted fixes, same execution tree.
+// must leave the hive in exactly the state the per-trace reference apply
+// (applyBatch, reference_test.go) produces — same counters, same
+// reconstruction, same failure aggregation and minted fixes, same
+// execution tree.
 func TestColumnarIngestMatchesV2(t *testing.T) {
 	p := buildCrashy(t)
 	corpus := captureMixed(t, p, 96)
@@ -53,12 +54,14 @@ func TestColumnarIngestMatchesV2(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	stV2, err := hV2.state(p.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const chunk = 16
 	for off := 0; off < len(corpus); off += chunk {
 		batch := corpus[off : off+chunk]
-		if err := hV2.SubmitTracesFor(p.ID, batch); err != nil {
-			t.Fatal(err)
-		}
+		hV2.applyBatch(stV2, batch, true)
 		enc, err := trace.EncodeBatch(p.ID, batch)
 		if err != nil {
 			t.Fatal(err)

@@ -201,24 +201,11 @@ func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 		if err != nil {
 			return fmt.Errorf("hive: replay %s columnar batch: %w", st.prog.ID, err)
 		}
-		// Replay runs through the same view-based apply path live columnar
-		// ingestion uses — the journaled bytes ARE the wire bytes, so a
-		// recovered hive reproduces the live one's state exactly.
+		// Replay runs through the same view-based apply path live ingestion
+		// uses — the journaled bytes ARE the wire bytes, so a recovered hive
+		// reproduces the live one's state exactly.
 		h.applyBatchView(st, view, false)
 		view.Release()
-		if op.Session != "" {
-			h.markSession(op.Session, op.Seq)
-		}
-	case journal.OpBatch:
-		batch := make([]*trace.Trace, 0, len(op.Traces))
-		for i, raw := range op.Traces {
-			tr, err := trace.Decode(raw)
-			if err != nil {
-				return fmt.Errorf("hive: replay %s batch trace %d: %w", st.prog.ID, i, err)
-			}
-			batch = append(batch, tr)
-		}
-		h.applyBatch(st, batch, false)
 		if op.Session != "" {
 			h.markSession(op.Session, op.Seq)
 		}

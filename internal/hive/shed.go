@@ -138,7 +138,7 @@ type batchPrice struct {
 	lowRarityOnly bool
 }
 
-// shedView prices a columnar batch and decides its fate. Returns
+// shedView prices a batch and decides its fate. Returns
 // (drop=true, nil) for a batch to ack-without-ingest — the caller must
 // NOT journal, apply, or mark the session (a resubmission simply
 // re-prices) — or (false, err wrapping pod.ErrDeferred) to decline, or
@@ -173,41 +173,6 @@ func (h *Hive) shedView(st *programState, v *trace.BatchView) (bool, error) {
 	for i := 0; i < n; i++ {
 		sc.path = v.AppendBranches(sc.path[:0], i)
 		pr := st.tree.PricePath(sc.path, v.Outcome(i))
-		bp.newEdges += pr.NewEdges
-		if pr.NovelPath {
-			bp.novel = true
-			if p.RarityFloor <= 0 || pr.SiblingVisits >= p.RarityFloor {
-				bp.lowRarityOnly = false
-			}
-		}
-	}
-	return h.shedDecide(p, pressure, bp)
-}
-
-// shedBatch is shedView for materialized traces (the SubmitTracesSession
-// path).
-func (h *Hive) shedBatch(st *programState, traces []*trace.Trace) (bool, error) {
-	p := h.shedPolicy.Load()
-	if p == nil {
-		return false, nil
-	}
-	pressure := h.loadPressure()
-	h.shed.notePressure(pressure)
-	if pressure < p.Watermark {
-		h.shed.admitted.Add(1)
-		return false, nil
-	}
-	for _, tr := range traces {
-		if tr.Outcome.IsFailure() && st.failures.get(tr.FailureSignature()) == nil {
-			h.shed.firstSight.Add(1)
-			h.shed.admitted.Add(1)
-			return false, nil
-		}
-	}
-	var bp batchPrice
-	bp.lowRarityOnly = true
-	for _, tr := range traces {
-		pr := st.tree.PricePath(tr.Branches, tr.Outcome)
 		bp.newEdges += pr.NewEdges
 		if pr.NovelPath {
 			bp.novel = true

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -38,8 +39,8 @@ func BenchmarkJournalAppendParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				op := &Op{Kind: OpBatch, Session: "bench-session", Seq: 1,
-					Traces: [][]byte{payload, payload, payload, payload, payload, payload, payload, payload}}
+				op := &Op{Kind: OpBatchColumnar, Session: "bench-session", Seq: 1,
+					Raw: bytes.Repeat(payload, 8)}
 				for pb.Next() {
 					if err := s.Append("bench-program", op); err != nil {
 						b.Fatal(err)
@@ -61,14 +62,11 @@ func BenchmarkJournalAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			op := &Op{Kind: OpBatch, Session: "bench-session", Seq: 1}
 			payload := make([]byte, 200)
 			for i := range payload {
 				payload[i] = byte(i)
 			}
-			for i := 0; i < traces; i++ {
-				op.Traces = append(op.Traces, payload)
-			}
+			op := &Op{Kind: OpBatchColumnar, Session: "bench-session", Seq: 1, Raw: bytes.Repeat(payload, traces)}
 			b.SetBytes(int64(traces * len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -106,8 +104,7 @@ func BenchmarkJournalAppendColdFleet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				op := &Op{Kind: OpBatch, Session: "bench-session", Seq: 1,
-					Traces: [][]byte{payload}}
+				op := &Op{Kind: OpBatchColumnar, Session: "bench-session", Seq: 1, Raw: payload}
 				for pb.Next() {
 					id := fmt.Sprintf("bench-program-%d", next.Add(1)%int64(programs))
 					if err := s.Append(id, op); err != nil {

@@ -90,7 +90,7 @@ func FuzzJournalTornTail(f *testing.F) {
 			t.Fatalf("lost acknowledged records: replayed %d, %d were intact before the cut", len(replayed), intact)
 		}
 		for i := 0; i < intact; i++ {
-			if got, want := string(replayed[i].Traces[0]), fmt.Sprintf("rec-%d", i); got != want {
+			if got, want := string(replayed[i].Raw), fmt.Sprintf("rec-%d", i); got != want {
 				t.Fatalf("record %d corrupted: got %q want %q", i, got, want)
 			}
 		}
@@ -115,7 +115,7 @@ func FuzzJournalTornTail(f *testing.F) {
 		if len(final) != len(replayed)+1 {
 			t.Fatalf("second recovery replayed %d ops, want %d", len(final), len(replayed)+1)
 		}
-		if got := string(final[len(final)-1].Traces[0]); got != "post-tear" {
+		if got := string(final[len(final)-1].Raw); got != "post-tear" {
 			t.Fatalf("post-tear record lost: tail is %q", got)
 		}
 	})

@@ -596,8 +596,10 @@ func (s *Store) LoadChain(programID string) (*ProgramSnapshot, []*ProgramSnapsho
 }
 
 // Replay feeds every journaled operation after the newest checkpoint to
-// apply, in append order. A torn tail (crash mid-append) is truncated so
-// subsequent appends extend a valid journal. Replay must run before the
+// apply, in append order. A torn tail (crash mid-append: a short record or
+// a CRC mismatch) is truncated so subsequent appends extend a valid
+// journal. A whole, CRC-valid record that fails to decode is not a tear:
+// Replay returns ErrCorrupt and leaves the file untouched. Replay must run before the
 // first Append for a recovered program; it returns the number of
 // operations replayed.
 func (s *Store) Replay(programID string, apply func(*Op) error) (int, error) {
@@ -637,7 +639,10 @@ func (s *Store) Replay(programID string, apply func(*Op) error) (int, error) {
 		}
 		op, err := decodeOp(payload)
 		if err != nil {
-			break // treat undecodable tail like a torn record
+			// The record is whole and its CRC matches, so it was written
+			// and possibly acked: truncating here would drop it and every
+			// acked op behind it. Refuse to open instead.
+			return n, fmt.Errorf("journal: replay %s op %d: %w", programID, n, err)
 		}
 		if err := apply(op); err != nil {
 			return n, fmt.Errorf("journal: replay %s op %d: %w", programID, n, err)

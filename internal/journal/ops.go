@@ -16,28 +16,27 @@ type Kind uint8
 
 // Journaled operation kinds. Together they cover every mutation of durable
 // hive state: trace ingestion, fix synthesis outcomes, proof attempts (with
-// the evidence the prover merged), and infeasibility certificates.
+// the evidence the prover merged), and infeasibility certificates. The
+// values are on-disk format and are pinned explicitly; kind 1 (the retired
+// per-trace batch op) is reserved and decodes as corrupt.
 const (
-	// OpBatch is one ingested trace batch (encoded post-privacy traces).
-	// Session/Seq are set for deduplicated wire submissions so recovery
-	// also rebuilds the exactly-once dedup table.
-	OpBatch Kind = iota + 1
 	// OpSynthesis records the single-flight synthesis outcome for a failure
 	// signature: a minted fix (JSON) or, with an empty Fix, the repair lab.
-	OpSynthesis
+	OpSynthesis Kind = 2
 	// OpProof records one successful proof attempt: the proof document
 	// (JSON, including the evidence paths the prover merged into the tree).
-	OpProof
+	OpProof Kind = 3
 	// OpCert records one infeasibility certificate attached to the tree.
-	OpCert
-	// OpBatchColumnar is one ingested columnar trace batch: Raw holds the
-	// canonical batch bytes (trace.BatchCodec encoding, program ID in the
-	// batch header) — the write-once-bytes pipeline's journal leg.
-	// Transport compression never reaches here: a batch that crossed the
-	// wire DEFLATE-compressed is inflated before ingest, so Raw is always
-	// the decompressed canonical payload, byte-identical to an uncompressed
-	// submission of the same batch. Session/Seq as in OpBatch.
-	OpBatchColumnar
+	OpCert Kind = 4
+	// OpBatchColumnar is one ingested trace batch: Raw holds the canonical
+	// columnar batch bytes (trace.BatchCodec encoding, program ID in the
+	// batch header), the same bytes the pod sealed. Transport compression
+	// never reaches here: a batch that crossed the wire DEFLATE-compressed
+	// is inflated before ingest, so Raw is always the decompressed
+	// canonical payload, byte-identical to an uncompressed submission of
+	// the same batch. Session/Seq are set for deduplicated wire
+	// submissions so recovery also rebuilds the exactly-once dedup table.
+	OpBatchColumnar Kind = 5
 )
 
 // Op is one replayable journal operation. Exactly the fields for its Kind
@@ -45,13 +44,10 @@ const (
 type Op struct {
 	Kind Kind
 
-	// OpBatch (Session/Seq shared with OpBatchColumnar).
+	// OpBatchColumnar: the dedup tag and the verbatim batch bytes.
 	Session string
 	Seq     uint64
-	Traces  [][]byte
-
-	// OpBatchColumnar: the verbatim wire-batch bytes.
-	Raw []byte
+	Raw     []byte
 
 	// OpSynthesis.
 	Signature string
@@ -76,13 +72,6 @@ func encodeOp(op *Op) []byte {
 func appendOp(buf []byte, op *Op) []byte {
 	buf = append(buf, opVersion, byte(op.Kind))
 	switch op.Kind {
-	case OpBatch:
-		buf = appendBytes(buf, []byte(op.Session))
-		buf = binary.AppendUvarint(buf, op.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Traces)))
-		for _, tr := range op.Traces {
-			buf = appendBytes(buf, tr)
-		}
 	case OpBatchColumnar:
 		buf = appendBytes(buf, []byte(op.Session))
 		buf = binary.AppendUvarint(buf, op.Seq)
@@ -110,16 +99,6 @@ func decodeOp(data []byte) (*Op, error) {
 	}
 	op := &Op{Kind: Kind(d.byte())}
 	switch op.Kind {
-	case OpBatch:
-		op.Session = string(d.bytes())
-		op.Seq = d.uvarint()
-		n := int(d.uvarint())
-		if d.err == nil && n > len(data) {
-			return nil, fmt.Errorf("%w: implausible batch count %d", ErrCorrupt, n)
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			op.Traces = append(op.Traces, d.bytes())
-		}
 	case OpBatchColumnar:
 		op.Session = string(d.bytes())
 		op.Seq = d.uvarint()

@@ -104,55 +104,30 @@ func TestBufferedClientPassesThrough(t *testing.T) {
 	}
 }
 
-// programClient extends recordingClient with the per-program fast path.
-type programClient struct {
+// columnarClient extends recordingClient with zero-copy columnar
+// submission; failAt, when positive, fails that call (1-based) once.
+type columnarClient struct {
 	recordingClient
-	forCalls []string
+	calls  int
+	failAt int
+	chunks []int    // batch size per accepted call
+	seqs   []uint64 // trace seqs accepted, in order
 }
 
-func (p *programClient) SubmitTracesFor(programID string, traces []*trace.Trace) error {
-	p.forCalls = append(p.forCalls, programID)
-	return p.recordingClient.SubmitTraces(traces)
-}
-
-// streamingClient extends programClient with pipelined batch streaming.
-type streamingClient struct {
-	programClient
-	streamed [][][]*trace.Trace
-}
-
-func (s *streamingClient) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	s.forCalls = append(s.forCalls, programID)
-	s.streamed = append(s.streamed, batches)
-	accepted := make([]bool, len(batches))
-	for i, b := range batches {
-		if err := s.recordingClient.SubmitTraces(b); err != nil {
-			return accepted, err
-		}
-		accepted[i] = true
+func (c *columnarClient) SubmitColumnarSession(session string, seq uint64, b *trace.BatchView) (bool, error) {
+	c.calls++
+	if c.calls == c.failAt {
+		return false, errors.New("backend died mid-drain")
 	}
-	return accepted, nil
-}
-
-func TestBufferedForUsesProgramSubmitter(t *testing.T) {
-	backend := &programClient{}
-	bc := NewBufferedFor(backend, "prog-a")
-	if err := bc.SubmitTraces([]*trace.Trace{{ProgramID: "prog-a", Seq: 1}}); err != nil {
-		t.Fatal(err)
+	c.chunks = append(c.chunks, b.Len())
+	for i := 0; i < b.Len(); i++ {
+		c.seqs = append(c.seqs, b.Seq(i))
 	}
-	if err := bc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if len(backend.forCalls) != 1 || backend.forCalls[0] != "prog-a" {
-		t.Fatalf("per-program calls = %v", backend.forCalls)
-	}
-	if len(backend.batches) != 1 {
-		t.Fatalf("batches = %d", len(backend.batches))
-	}
+	return false, nil
 }
 
 func TestBufferedForStreamsChunks(t *testing.T) {
-	backend := &streamingClient{}
+	backend := &columnarClient{}
 	bc := NewBufferedFor(backend, "prog-a")
 	n := streamChunk*2 + 5
 	queued := make([]*trace.Trace, n)
@@ -165,24 +140,16 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 	if err := bc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(backend.streamed) != 1 {
-		t.Fatalf("streamed drains = %d, want 1", len(backend.streamed))
-	}
-	batches := backend.streamed[0]
-	if len(batches) != 3 || len(batches[0]) != streamChunk || len(batches[2]) != 5 {
-		t.Fatalf("chunking = %d batches (first %d, last %d)", len(batches), len(batches[0]), len(batches[len(batches)-1]))
+	if len(backend.chunks) != 3 || backend.chunks[0] != streamChunk || backend.chunks[2] != 5 {
+		t.Fatalf("chunking = %v, want [%d %d 5]", backend.chunks, streamChunk, streamChunk)
 	}
 	// Order across chunks is preserved.
-	seq := uint64(0)
-	for _, b := range backend.batches {
-		for _, tr := range b {
-			if tr.Seq != seq {
-				t.Fatalf("order broken at seq %d (got %d)", seq, tr.Seq)
-			}
-			seq++
+	for i, seq := range backend.seqs {
+		if seq != uint64(i) {
+			t.Fatalf("order broken at seq %d (got %d)", i, seq)
 		}
 	}
-	// An unbound buffer must not stream.
+	// An unbound buffer must not take the columnar path.
 	plain := NewBuffered(backend)
 	if err := plain.SubmitTraces([]*trace.Trace{{Seq: 0}}); err != nil {
 		t.Fatal(err)
@@ -190,38 +157,16 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 	if err := plain.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(backend.streamed) != 1 {
-		t.Fatal("unbound buffer took the streaming path")
+	if len(backend.chunks) != 3 || len(backend.batches) != 1 {
+		t.Fatal("unbound buffer took the columnar path")
 	}
-}
-
-// flakyStreamer acks exactly one batch then kills the stream, once.
-type flakyStreamer struct {
-	programClient
-	calls int
-	got   [][]*trace.Trace
-}
-
-func (f *flakyStreamer) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	accepted := make([]bool, len(batches))
-	f.calls++
-	if f.calls == 1 {
-		f.got = append(f.got, batches[0])
-		accepted[0] = true
-		return accepted, errors.New("stream died after first ack")
-	}
-	f.got = append(f.got, batches...)
-	for i := range accepted {
-		accepted[i] = true
-	}
-	return accepted, nil
 }
 
 // TestBufferedForRequeuesOnlyUnackedTail pins the partial-failure contract:
-// after a stream dies mid-drain, only the unacknowledged tail is re-queued,
+// after the backend fails mid-drain, only the unaccepted tail is re-queued,
 // so the retry delivers every trace exactly once.
 func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
-	backend := &flakyStreamer{}
+	backend := &columnarClient{failAt: 2}
 	bc := NewBufferedFor(backend, "prog-a")
 	n := streamChunk + 10
 	queued := make([]*trace.Trace, n)
@@ -232,28 +177,20 @@ func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := bc.Drain(); err == nil {
-		t.Fatal("drain over a dying stream must error")
+		t.Fatal("drain over a dying backend must error")
 	}
 	if got := bc.Pending(); got != 10 {
-		t.Fatalf("pending after partial drain = %d, want the 10 unacked", got)
+		t.Fatalf("pending after partial drain = %d, want the 10 unaccepted", got)
 	}
 	if err := bc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[uint64]int)
-	total := 0
-	for _, b := range backend.got {
-		for _, tr := range b {
-			seen[tr.Seq]++
-			total++
-		}
+	if len(backend.seqs) != n {
+		t.Fatalf("delivered %d traces, want %d", len(backend.seqs), n)
 	}
-	if total != n {
-		t.Fatalf("delivered %d traces, want %d", total, n)
-	}
-	for seq, c := range seen {
-		if c != 1 {
-			t.Fatalf("seq %d delivered %d times", seq, c)
+	for i, seq := range backend.seqs {
+		if seq != uint64(i) {
+			t.Fatalf("trace %d delivered as seq %d: lost or duplicated", i, seq)
 		}
 	}
 }
@@ -262,7 +199,7 @@ func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
 // increasing tags and records every payload submitted, failing the first
 // submit call outright.
 type sealingBackend struct {
-	programClient
+	recordingClient
 	nextSeq   uint64
 	submits   int
 	delivered []string // payloads acknowledged, in order
@@ -365,7 +302,7 @@ func TestBufferedForSealedTagsSurviveDrains(t *testing.T) {
 // frames around it) — the server-rejection failure mode, where a frame in
 // the middle of a stream was refused while later frames were applied.
 type rejectingBackend struct {
-	programClient
+	recordingClient
 	nextSeq   uint64
 	submits   int
 	presented []string // payloads presented across all submits, in order

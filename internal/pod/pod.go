@@ -25,8 +25,7 @@ import (
 // session mark), and the submitter should retry it after a pause — for
 // sealed frames, verbatim, so exactly-once semantics are untouched.
 // hive.Hive wraps it when rarity-priced load shedding defers low-value
-// work; wire.Server maps it to MsgBusy (negotiated clients) or bounded
-// in-handler pacing (legacy clients).
+// work; wire.Server maps it to MsgBusy.
 var ErrDeferred = errors.New("pod: ingest deferred under overload")
 
 // ErrReadOnly reports that the backend has flipped a program to read-only
@@ -34,8 +33,8 @@ var ErrDeferred = errors.New("pod: ingest deferred under overload")
 // batch was NOT applied and resubmitting it will keep failing until the
 // disk recovers — unlike ErrDeferred, this is not transient backpressure.
 // Guidance reads still work. hive.Hive wraps it when a program's journal
-// breaker opens; wire.Server maps it to MsgBusy (reason "readonly") for
-// negotiated clients and a hard error for legacy ones.
+// breaker opens; wire.Server maps it to MsgBusy, counted apart from
+// overload busy replies.
 var ErrReadOnly = errors.New("pod: backend read-only after journal write failure")
 
 // PressureSink is an optional backend extension letting the transport
@@ -63,21 +62,10 @@ type HiveClient interface {
 
 // ProgramSubmitter is an optional HiveClient extension: submission that
 // pre-asserts every trace in the batch describes programID, so the backend
-// can skip its group-by step and resolve the program once. hive.Hive and
-// wire.Client implement it; BufferedClient.Drain uses it when the buffer is
-// bound to a program.
+// can skip its group-by step and resolve the program once. hive.Hive
+// implements it for in-process callers.
 type ProgramSubmitter interface {
 	SubmitTracesFor(programID string, traces []*trace.Trace) error
-}
-
-// TraceStreamer is an optional HiveClient extension for pipelined
-// transports: submit many batches for one program with every batch in
-// flight at once, instead of one upload per round trip. wire.Client
-// implements it by streaming frames and collecting the pipelined acks.
-// The flags report, per batch, whether the backend acknowledged it — on
-// error, callers re-submit exactly the unacknowledged batches.
-type TraceStreamer interface {
-	SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error)
 }
 
 // SealedBatch is one trace batch sealed into a transport frame whose
@@ -95,10 +83,7 @@ type SealedBatch struct {
 	Count int
 	// Payload is the transport-encoded frame, tags included.
 	Payload []byte
-	// Columnar marks a payload in the columnar batch encoding (sent as its
-	// own frame type); the exactly-once tag semantics are identical.
-	Columnar bool
-	// Compressed marks a columnar payload whose batch bytes were sealed
+	// Compressed marks a payload whose columnar batch bytes were sealed
 	// DEFLATE-compressed (sent as its own frame type). The backend
 	// inflates back to the canonical columnar bytes before ingest, so
 	// dedup and journal identity are unchanged.
@@ -126,8 +111,8 @@ type SealedStreamer interface {
 // and, when durable, journals view.Bytes() verbatim, so the pod's one
 // serialization of the batch survives to the journal unchanged. The view is
 // only valid for the duration of the call: the transport recycles the
-// underlying frame buffer after it returns. hive.Hive implements it;
-// wire.Server routes columnar frames through it.
+// underlying frame buffer after it returns. hive.Hive implements it, and
+// it is the only ingest path wire.Server uses.
 type ColumnarSubmitter interface {
 	SubmitColumnarSession(session string, seq uint64, batch *trace.BatchView) (dup bool, err error)
 }
@@ -135,12 +120,13 @@ type ColumnarSubmitter interface {
 // SessionSubmitter is an optional backend extension for exactly-once
 // ingestion: a per-program batch tagged with the submitting client's
 // session ID and a per-frame sequence number. The backend keeps a
-// per-session high-water mark of applied sequence numbers (journaled with
-// the batch when the backend is durable), so a client resubmitting a
+// per-session window of applied sequence numbers (journaled with the batch
+// when the backend is durable), so a client resubmitting a
 // partially-acknowledged stream over a new connection — or across a backend
 // restart — has each batch ingested exactly once. The dup result reports
 // that the batch was already applied and acknowledged without re-ingesting.
-// hive.Hive implements it; wire.Server routes sequenced frames through it.
+// hive.Hive implements it for in-process callers; it shares its tag space
+// with ColumnarSubmitter.
 type SessionSubmitter interface {
 	SubmitTracesSession(session string, seq uint64, programID string, traces []*trace.Trace) (dup bool, err error)
 }

@@ -63,11 +63,11 @@ func startAdmissionServer(t *testing.T, cfg Admission) (*hive.Hive, *Server, str
 	return h, srv, addr
 }
 
-// TestBusyRateLimit drives a negotiated client through a tight session
-// rate limit: every submission must eventually land (the busy reply is
-// "not now", never "never"), the server must answer MsgBusy rather than
-// pace the worker, and the client must retry on the same connection —
-// one hello for the whole run, no reconnect storm.
+// TestBusyRateLimit drives a client through a tight session rate limit:
+// every submission must eventually land (the busy reply is "not now",
+// never "never"), the server must answer MsgBusy, and the client must
+// retry on the same connection — one hello for the whole run, no
+// reconnect storm.
 func TestBusyRateLimit(t *testing.T) {
 	leaktest.Check(t)
 	p := buildCrashy(t)
@@ -85,7 +85,7 @@ func TestBusyRateLimit(t *testing.T) {
 	tr := captureWireTrace(t, p, "busy-pod", []int64{50})
 	const frames = 30
 	for i := 0; i < frames; i++ {
-		if err := client.SubmitTracesFor(p.ID, []*trace.Trace{tr.Clone()}); err != nil {
+		if err := client.SubmitTraces([]*trace.Trace{tr.Clone()}); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -97,54 +97,60 @@ func TestBusyRateLimit(t *testing.T) {
 	if st.Ingested != frames {
 		t.Fatalf("ingested %d of %d admitted frames", st.Ingested, frames)
 	}
-	as := srv.AdmissionStats()
-	if as.BusyReplies == 0 {
+	if as := srv.AdmissionStats(); as.BusyReplies == 0 {
 		t.Fatal("rate limit never answered MsgBusy")
-	}
-	if as.PacedFrames != 0 {
-		t.Fatalf("negotiated client was paced %d times instead of told busy", as.PacedFrames)
 	}
 	if got := client.HelloCount(); got != 1 {
 		t.Fatalf("client ran %d hello exchanges; busy retries must reuse the connection", got)
 	}
 }
 
-// TestLegacyClientPaced proves the downgrade path: a client that never
-// offered FeatureBusy is throttled by in-handler pacing and deferred
-// reads — it still lands every frame and never sees a busy frame it
-// cannot parse.
-func TestLegacyClientPaced(t *testing.T) {
+// TestRedialSaysHello: after a transport failure the client redials, and
+// the new connection says hello before its first submission — so it gets
+// the same busy replies (and frame grant, and redirects) as the first one
+// instead of being treated as a connection that never said hello.
+func TestRedialSaysHello(t *testing.T) {
 	leaktest.Check(t)
 	p := buildCrashy(t)
-	h, srv, addr := startAdmissionServer(t, Admission{SessionRate: 500, SessionBurst: 4})
+	h, srv, addr := startAdmissionServer(t, Admission{SessionRate: 200, SessionBurst: 4})
 	if err := h.RegisterProgram(p); err != nil {
 		t.Fatal(err)
 	}
 	client := Dial(addr)
-	client.DisableBusy = true
+	client.RetryBase = time.Millisecond
+	client.RetryCap = 50 * time.Millisecond
+	client.BusyRetries = 100 // 30 traces at 200/s take several busy rounds
 	defer client.Close()
-
-	tr := captureWireTrace(t, p, "legacy-pod", []int64{50})
-	const frames = 12
-	for i := 0; i < frames; i++ {
-		if err := client.SubmitTracesFor(p.ID, []*trace.Trace{tr.Clone()}); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
+	if err := client.Handshake(); err != nil {
+		t.Fatal(err)
 	}
+	// Drop the link under the client: its next write fails and it redials.
+	client.mu.Lock()
+	_ = client.conn.Close()
+	client.mu.Unlock()
 
-	st, err := h.ProgramStats(p.ID)
+	tr := captureWireTrace(t, p, "redial-pod", []int64{50})
+	batches := make([][]*trace.Trace, 30)
+	for i := range batches {
+		batches[i] = []*trace.Trace{tr.Clone()}
+	}
+	accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, batches))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ingested != frames {
-		t.Fatalf("ingested %d of %d frames", st.Ingested, frames)
+	for i, ok := range accepted {
+		if !ok {
+			t.Fatalf("frame %d not acked", i)
+		}
 	}
-	as := srv.AdmissionStats()
-	if as.BusyReplies != 0 {
-		t.Fatalf("legacy client was sent %d MsgBusy frames", as.BusyReplies)
+	if st, _ := h.ProgramStats(p.ID); st.Ingested != int64(len(batches)) {
+		t.Fatalf("ingested %d of %d frames", st.Ingested, len(batches))
 	}
-	if as.PacedFrames == 0 {
-		t.Fatal("legacy client over its rate was never paced")
+	if as := srv.AdmissionStats(); as.BusyReplies == 0 {
+		t.Fatal("redialed connection was never told busy")
+	}
+	if got := client.HelloCount(); got != 2 {
+		t.Fatalf("client ran %d hello exchanges, want 2 (one per connection)", got)
 	}
 }
 
@@ -193,7 +199,13 @@ func TestSlowLorisEvicted(t *testing.T) {
 	}
 	defer idler.Close()
 	time.Sleep(200 * time.Millisecond)
-	if err := WriteFrame(idler, MsgSubmitTraces, encodedBatch(1)); err != nil {
+	if err := WriteFrame(idler, MsgHello, []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFrame(idler); err != nil {
+		t.Fatalf("idle-then-hello connection was evicted: %v", err)
+	}
+	if err := WriteFrame(idler, MsgSubmitBatchColumnar, encodedBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	respType, resp, err := ReadFrame(idler)
@@ -233,7 +245,7 @@ func TestConnCaps(t *testing.T) {
 		conns = append(conns, c)
 		// Complete one frame so the slot is provably serving, not racing
 		// the accept loop.
-		if err := WriteFrame(c, MsgSubmitTraces, encodedBatch(1)); err != nil {
+		if err := WriteFrame(c, MsgHello, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ReadFrame(c); err != nil {
@@ -275,17 +287,11 @@ func TestHalfOpenCap(t *testing.T) {
 	defer srv.Close()
 
 	// Establish one connection (completes a frame, leaves half-open state).
-	good, err := net.Dial("tcp", addr)
+	good, err := dialHello(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if err := WriteFrame(good, MsgSubmitTraces, encodedBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadFrame(good); err != nil {
-		t.Fatal(err)
-	}
 
 	// Flood with silent connections; past the cap they must be rejected.
 	var idle []net.Conn
@@ -307,7 +313,7 @@ func TestHalfOpenCap(t *testing.T) {
 	}
 
 	// The established connection is unaffected by the flood.
-	if err := WriteFrame(good, MsgSubmitTraces, encodedBatch(1)); err != nil {
+	if err := WriteFrame(good, MsgSubmitBatchColumnar, encodedBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadFrame(good); err != nil {
@@ -322,7 +328,7 @@ type deferringBackend struct {
 	calls     atomic.Int64
 }
 
-func (d *deferringBackend) SubmitTracesSession(session string, seq uint64, programID string, traces []*trace.Trace) (bool, error) {
+func (d *deferringBackend) SubmitColumnarSession(string, uint64, *trace.BatchView) (bool, error) {
 	d.calls.Add(1)
 	if d.remaining.Add(-1) >= 0 {
 		return false, fmt.Errorf("stub hive shedding: %w", pod.ErrDeferred)
@@ -361,7 +367,7 @@ func TestRoutedBusyBackoff(t *testing.T) {
 	defer r.Close()
 
 	tr := captureWireTrace(t, p, "routed-pod", []int64{50})
-	if err := r.SubmitTracesFor(p.ID, []*trace.Trace{tr}); err != nil {
+	if err := r.SubmitTraces([]*trace.Trace{tr}); err != nil {
 		t.Fatalf("submission through a shedding owner failed: %v", err)
 	}
 

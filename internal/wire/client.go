@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,43 +42,31 @@ type Client struct {
 	// another's.
 	seq uint64
 
-	// negotiated and the feature fields below cache the hello exchange
-	// (guarded by mu): before sealing submission frames the client offers
-	// its features once per session; a server that answers anything but
-	// MsgHelloAck (an old build replies MsgError) pins the empty feature
-	// set and the client sticks to the per-trace v2 encoding. Negotiation
-	// is retried on the next seal after a transport failure.
-	negotiated bool
-	columnar   bool
-	// coalesce reports the server granted FeatureCoalesce: sealed-frame
-	// streams ship as MsgCoalesced mega-frames, one writev per group.
-	coalesce bool
-	// compressOK reports the server granted FeatureSlabFlate; compressing
-	// reports the client actually compresses (granted, and either forced
-	// or the link looks far — see helloRTT).
-	compressOK  bool
-	compressing bool
-	// maxFrame is the negotiated frame-size limit for writes on this
-	// connection (MaxFrameSize until a hello grant raises it).
+	// The fields below cache the current connection's hello (guarded by
+	// mu). Every connection — the first, and every redial after a
+	// transport failure — says hello before any other frame (dialLocked),
+	// so a redialed connection gets the same frame grant, busy replies and
+	// redirects as the first.
+	//
+	// maxFrame is the granted frame-size limit for writes on this
+	// connection (MaxFrameSize unless the hello raised it).
 	maxFrame int
-	// routing reports the server granted FeatureRouting; placement is the
-	// map it advertised (nil when unsharded). lastRedirect remembers the
-	// most recent MsgRedirect this client saw, so a later retry-exhausted
-	// error can tell "owner moved" from "owner down".
-	routing      bool
+	// placement is the map the server advertised (nil when unsharded).
+	// lastRedirect remembers the most recent MsgRedirect this client saw,
+	// so a later retry-exhausted error can tell "owner moved" from "owner
+	// down".
 	placement    *ring.Map
 	lastRedirect *RedirectError
-	// helloRTT is the measured duration of the hello exchange on an
-	// already-established connection — a free RTT probe. Compression
-	// costs CPU on both ends, so it auto-engages only when the link is
-	// far enough (compressRTTFloor) for bandwidth to be the bottleneck;
-	// loopback fleets skip it and keep their syscall-bound throughput.
-	helloRTT time.Duration
-	// busyOK reports the server granted FeatureBusy: declined submissions
-	// come back as MsgBusy retry-after hints instead of silent pacing.
-	busyOK bool
+	// compressing reports the client compresses the frames it seals:
+	// allowed, and either forced or the hello's round trip — a free RTT
+	// probe — reached compressRTTFloor. Compression costs CPU on both
+	// ends, so it auto-engages only when the link is far enough for
+	// bandwidth to be the bottleneck; loopback fleets skip it and keep
+	// their syscall-bound throughput.
+	compressing bool
 	// helloCount counts hello exchanges this client has run; tests use it
-	// to prove busy replies do not trigger re-negotiation storms.
+	// to prove busy replies do not trigger re-hello storms and that a
+	// redial says hello again.
 	helloCount int
 
 	// rng is the per-client xorshift64 state behind backoff jitter —
@@ -95,31 +82,19 @@ type Client struct {
 	hdrScratch []byte
 	bufScratch net.Buffers
 
-	// DisableColumnar opts this client out of negotiation entirely,
-	// emulating a pre-hello build (mixed-fleet tests and emergency
-	// fallback). Set before first use.
-	DisableColumnar bool
-	// DisableCoalesce and DisableCompression withhold the respective
-	// feature offers (mixed-fleet tests, debugging). Set before first use.
+	// DisableCoalesce sends every frame on its own instead of in
+	// MsgCoalesced mega-frames, and DisableCompression never compresses
+	// sealed frames (transport comparisons, debugging). Set before first
+	// use.
 	DisableCoalesce    bool
 	DisableCompression bool
-	// DisableRouting withholds the FeatureRouting offer: the client never
-	// receives MsgRedirect and a sharded server proxies its misdirected
-	// frames instead (pre-ring emulation; also set on server-side proxy
-	// clients so redirects never chain back to a client that cannot parse
-	// them). Set before first use.
-	DisableRouting bool
-	// ForceCompress compresses whenever the server granted it, ignoring
+	// ForceCompress compresses every sealed frame that shrinks, ignoring
 	// the RTT floor (benches and tests; real WAN links trip the floor on
 	// their own). Set before first use.
 	ForceCompress bool
 	// CoalesceDepth bounds how many inner frames one mega-frame carries
 	// (default defaultCoalesceDepth). Set before first use.
 	CoalesceDepth int
-	// DisableBusy withholds the FeatureBusy offer: the client never sees
-	// MsgBusy and an overloaded server throttles it by deferred reads and
-	// in-handler pacing instead (pre-PR9 emulation). Set before first use.
-	DisableBusy bool
 	// RetryBase and RetryCap bound the jittered exponential backoff used
 	// after MsgBusy replies (defaults defaultRetryBase / defaultRetryCap).
 	// Set before first use.
@@ -132,12 +107,10 @@ type Client struct {
 }
 
 var _ pod.HiveClient = (*Client)(nil)
-var _ pod.ProgramSubmitter = (*Client)(nil)
-var _ pod.TraceStreamer = (*Client)(nil)
 var _ pod.SealedStreamer = (*Client)(nil)
 
-// maxInflightFrames bounds how many submission frames SubmitTraceBatches
-// keeps unacknowledged on the socket. The window keeps the server's bounded
+// maxInflightFrames bounds how many submission frames SubmitSealed keeps
+// unacknowledged on the socket. The window keeps the server's bounded
 // ingest queue and both TCP buffers from absorbing an arbitrarily large
 // drain (which could deadlock writer against writer) while still amortizing
 // a round trip across the whole window. The coalesced path counts
@@ -158,7 +131,7 @@ const maxCoalesceDepth = 1024
 // server's per-frame buffer modest.
 const coalesceByteBudget = 1 << 20
 
-// compressRTTFloor is the hello-RTT above which granted compression
+// compressRTTFloor is the hello-RTT above which compression
 // auto-engages: past a few milliseconds the link is a network, not a
 // loopback, and trading CPU for bytes wins.
 const compressRTTFloor = 5 * time.Millisecond
@@ -203,10 +176,10 @@ func (c *Client) Close() error {
 	return err
 }
 
-// call performs one request/response exchange. On transport errors it drops
-// the connection and retries once with a fresh one; the final error wraps
-// the last underlying transport/decode failure instead of a generic
-// unreachability string.
+// call performs one request/response exchange. On transport errors —
+// including a failed dial or hello — it drops the connection and retries
+// once with a fresh one; the final error wraps the last underlying
+// transport/decode failure instead of a generic unreachability string.
 func (c *Client) call(reqType MsgType, payload []byte) (MsgType, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -217,7 +190,8 @@ func (c *Client) callLocked(reqType MsgType, payload []byte) (MsgType, []byte, e
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := c.dialLocked(); err != nil {
-			return 0, nil, err
+			lastErr = err
+			continue
 		}
 		if err := WriteFrame(c.conn, reqType, payload); err != nil {
 			if errors.Is(err, ErrFrame) {
@@ -242,7 +216,8 @@ func (c *Client) callLocked(reqType MsgType, payload []byte) (MsgType, []byte, e
 	return 0, nil, c.retryErrLocked(lastErr)
 }
 
-// dialLocked establishes the connection if there is none.
+// dialLocked establishes the connection if there is none and says hello
+// on it: every connection opens with the exchange before any other frame.
 func (c *Client) dialLocked() error {
 	if c.conn != nil {
 		return nil
@@ -252,26 +227,66 @@ func (c *Client) dialLocked() error {
 		return fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
 	c.conn = conn
+	if err := c.helloLocked(); err != nil {
+		_ = conn.Close()
+		c.conn = nil
+		return err
+	}
 	return nil
 }
 
-// retryErrLocked wraps the final transport error after a failed retry.
-// The message carries the negotiated feature set — in a mixed fleet a
-// downgrade-then-fail and a feature bug produce different summaries — and,
-// on a sharded fleet, the last redirect this client saw plus the placement
-// version it negotiated, so an operator can tell "owner moved" (a redirect
-// names the new owner) from "owner down" (no redirect; the placement still
-// points here) straight from the error string.
+// helloLocked runs the hello exchange on the current connection: ask for
+// room for mega-frames, adopt the granted limit and the advertised
+// placement. The connection is already established, so the exchange is one
+// request/response round trip — the RTT probe that decides whether
+// compression is worth its CPU.
+func (c *Client) helloLocked() error {
+	payload, err := json.Marshal(HelloPayload{MaxFrame: MaxCoalescedFrameSize})
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	if err := WriteFrame(c.conn, MsgHello, payload); err != nil {
+		return fmt.Errorf("wire: hello to %s: %w", c.addr, err)
+	}
+	respType, resp, err := ReadFrame(c.conn)
+	if err != nil {
+		return fmt.Errorf("wire: hello to %s: %w", c.addr, err)
+	}
+	rtt := time.Since(start)
+	if respType != MsgHelloAck {
+		return fmt.Errorf("wire: %s answered hello with message type %d", c.addr, respType)
+	}
+	var ack HelloReplyPayload
+	if err := json.Unmarshal(resp, &ack); err != nil {
+		return fmt.Errorf("wire: bad hello ack from %s: %w", c.addr, err)
+	}
+	c.helloCount++
+	// Trust the grant only within what we asked for.
+	c.maxFrame = MaxFrameSize
+	if ack.MaxFrame > MaxFrameSize {
+		c.maxFrame = min(ack.MaxFrame, MaxCoalescedFrameSize)
+	}
+	c.placement = placementFromPayload(ack.Placement)
+	c.compressing = !c.DisableCompression && (c.ForceCompress || rtt >= compressRTTFloor)
+	return nil
+}
+
+// retryErrLocked wraps the final transport error after a failed retry. On
+// a sharded fleet the message carries the last redirect this client saw
+// plus the placement version it was advertised, so an operator can tell
+// "owner moved" (a redirect names the new owner) from "owner down" (no
+// redirect; the placement still points here) straight from the error
+// string.
 func (c *Client) retryErrLocked(lastErr error) error {
 	routed := ""
 	if c.lastRedirect != nil {
-		routed = fmt.Sprintf("; last redirect: program %s -> %s at placement v%d",
+		routed = fmt.Sprintf(" (last redirect: program %s -> %s at placement v%d)",
 			c.lastRedirect.ProgramID, c.lastRedirect.Owner, c.lastRedirect.Version)
 	} else if c.placement != nil {
-		routed = fmt.Sprintf("; no redirect seen at placement v%d", c.placement.Version())
+		routed = fmt.Sprintf(" (no redirect seen at placement v%d)", c.placement.Version())
 	}
-	return fmt.Errorf("wire: %s unreachable after retry (features: %s%s): %w",
-		c.addr, c.featureSummaryLocked(), routed, lastErr)
+	return fmt.Errorf("wire: %s unreachable after retry%s: %w", c.addr, routed, lastErr)
 }
 
 // noteRedirectLocked remembers the most recent redirect for error
@@ -288,126 +303,9 @@ func (c *Client) noteRedirectLocked(err error) {
 	}
 }
 
-// featureSummaryLocked renders the negotiated feature state for error
-// messages.
-func (c *Client) featureSummaryLocked() string {
-	if !c.negotiated {
-		return "not negotiated"
-	}
-	var parts []string
-	if c.columnar {
-		parts = append(parts, FeatureColumnarBatch)
-	}
-	if c.coalesce {
-		parts = append(parts, FeatureCoalesce)
-	}
-	if c.compressOK {
-		parts = append(parts, FeatureSlabFlate)
-	}
-	if c.routing {
-		parts = append(parts, FeatureRouting)
-	}
-	if c.busyOK {
-		parts = append(parts, FeatureBusy)
-	}
-	if c.maxFrame > MaxFrameSize {
-		parts = append(parts, fmt.Sprintf("max-frame=%d", c.maxFrame))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
-
-// ensureNegotiatedLocked runs the hello exchange once per client: offer
-// every feature this client speaks plus a frame-size raise, accept
-// whatever the server grants. Any failure — dial, transport, or an old
-// server's MsgError — leaves the client on the universally understood v2
-// encoding; transport failures clear the cache so the next seal retries.
-// The exchange doubles as an RTT probe (the connection is established
-// first, so the measurement is one request/response round trip), which
-// decides whether granted compression is worth its CPU.
-func (c *Client) ensureNegotiatedLocked() {
-	if c.negotiated || c.DisableColumnar {
-		return
-	}
-	hello := HelloPayload{Features: []string{FeatureColumnarBatch}}
-	if !c.DisableCoalesce {
-		hello.Features = append(hello.Features, FeatureCoalesce)
-		hello.MaxFrame = MaxCoalescedFrameSize
-	}
-	if !c.DisableCompression {
-		hello.Features = append(hello.Features, FeatureSlabFlate)
-	}
-	if !c.DisableRouting {
-		hello.Features = append(hello.Features, FeatureRouting)
-	}
-	if !c.DisableBusy {
-		hello.Features = append(hello.Features, FeatureBusy)
-	}
-	payload, err := json.Marshal(hello)
-	if err != nil {
-		return
-	}
-	if err := c.dialLocked(); err != nil {
-		return // no connection: stay v2, retry next seal
-	}
-	start := time.Now()
-	respType, resp, err := c.callLocked(MsgHello, payload)
-	if err != nil {
-		return
-	}
-	c.helloRTT = time.Since(start)
-	c.negotiated = true
-	c.helloCount++
-	c.columnar = false
-	c.coalesce = false
-	c.compressOK = false
-	c.compressing = false
-	c.maxFrame = MaxFrameSize
-	c.routing = false
-	c.placement = nil
-	c.busyOK = false
-	if respType != MsgHelloAck {
-		return // pre-negotiation server: empty feature set, pinned
-	}
-	var ack HelloAckPayload
-	if err := json.Unmarshal(resp, &ack); err != nil {
-		return
-	}
-	for _, f := range ack.Features {
-		switch f {
-		case FeatureColumnarBatch:
-			c.columnar = true
-		case FeatureCoalesce:
-			c.coalesce = !c.DisableCoalesce
-		case FeatureSlabFlate:
-			c.compressOK = !c.DisableCompression
-		case FeatureRouting:
-			c.routing = !c.DisableRouting
-		case FeatureBusy:
-			c.busyOK = !c.DisableBusy
-		}
-	}
-	if c.routing {
-		c.placement = placementFromPayload(ack.Placement)
-	}
-	// Trust the grant only within what we asked for.
-	if ack.MaxFrame > MaxFrameSize && !c.DisableCoalesce {
-		c.maxFrame = ack.MaxFrame
-		if c.maxFrame > MaxCoalescedFrameSize {
-			c.maxFrame = MaxCoalescedFrameSize
-		}
-	}
-	// Compression rides on the columnar encoding; without it there is
-	// nothing to compress.
-	c.compressOK = c.compressOK && c.columnar
-	c.compressing = c.compressOK && (c.ForceCompress || c.helloRTT >= compressRTTFloor)
-}
-
 // HelloCount reports how many hello exchanges this client has run. Tests
-// use it to prove a shedding (busy) owner does not trigger a
-// re-negotiation storm the way a dead one does.
+// use it to prove a shedding (busy) owner does not trigger a re-hello
+// storm the way a dead one does, and that a redial says hello again.
 func (c *Client) HelloCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -438,155 +336,95 @@ func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
 	return backoffDelay(c.RetryBase, c.RetryCap, attempt, hint, c.jitter())
 }
 
-// Handshake eagerly dials and negotiates. Submission paths negotiate
+// Handshake eagerly dials and says hello. Submission paths connect
 // lazily; routers call this up front so the placement map is available
 // before the first frame is sealed.
 func (c *Client) Handshake() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.dialLocked(); err != nil {
-		return err
-	}
-	c.ensureNegotiatedLocked()
-	if !c.negotiated {
-		return fmt.Errorf("wire: %s: hello exchange failed", c.addr)
-	}
-	return nil
+	return c.dialLocked()
 }
 
-// PlacementMap returns the placement advertised by the server at
-// negotiation, or nil when the server is unsharded (or routing was not
-// granted). Negotiates on first use.
+// PlacementMap returns the placement advertised by the server's hello, or
+// nil when the server is unsharded. Connects on first use.
 func (c *Client) PlacementMap() *ring.Map {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ensureNegotiatedLocked()
+	_ = c.dialLocked()
 	return c.placement
 }
 
-// RefreshPlacement forces a fresh hello exchange and returns the
+// RefreshPlacement forces a fresh hello exchange — on the current
+// connection if it still works, on a new one otherwise — and returns the
 // placement it advertised. Routers call this after a transport error to
 // learn about membership changes the old map predates.
 func (c *Client) RefreshPlacement() *ring.Map {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.negotiated = false
-	c.ensureNegotiatedLocked()
+	if c.conn != nil {
+		if c.helloLocked() == nil {
+			return c.placement
+		}
+		_ = c.conn.Close()
+		c.conn = nil
+	}
+	_ = c.dialLocked()
 	return c.placement
 }
 
-// SubmitTraces implements pod.HiveClient.
+// SubmitTraces implements pod.HiveClient: the batch is grouped by program,
+// each group is sealed into one frame, and the frames drain through
+// SubmitSealed — sequenced, so the transparent retry after a lost ack
+// cannot double-ingest. Each group is atomic; the multi-program call is
+// not.
 func (c *Client) SubmitTraces(traces []*trace.Trace) error {
-	encoded := make([][]byte, len(traces))
-	for i, tr := range traces {
-		encoded[i] = trace.Encode(tr)
+	_, err := c.SubmitSealed(sealByProgram(c, traces))
+	return err
+}
+
+// sealByProgram groups traces by program, in first-appearance order, and
+// seals each group as one frame.
+func sealByProgram(ss pod.SealedStreamer, traces []*trace.Trace) []pod.SealedBatch {
+	var order []string
+	groups := make(map[string][]*trace.Trace, 1)
+	for _, tr := range traces {
+		if _, ok := groups[tr.ProgramID]; !ok {
+			order = append(order, tr.ProgramID)
+		}
+		groups[tr.ProgramID] = append(groups[tr.ProgramID], tr)
 	}
-	respType, resp, err := c.call(MsgSubmitTraces, encodeTraceBatch(encoded))
+	sealed := make([]pod.SealedBatch, 0, len(order))
+	for _, id := range order {
+		sealed = append(sealed, ss.SealTraceBatches(id, [][]*trace.Trace{groups[id]})...)
+	}
+	return sealed
+}
+
+// sealFrameLocked encodes one sequenced submission frame: the columnar
+// batch is built in a reusable scratch and, when compression is engaged,
+// compressed and shipped as MsgSubmitBatchCompressed if that actually
+// saved bytes — the (session, seq) tag stays outside the compressed
+// region, and the server inflates back to the identical canonical payload
+// before ingest, so dedup and journal byte-identity are untouched. Traces
+// that do not all describe programID cannot be encoded; their frame
+// carries the tag alone, which the server rejects.
+func (c *Client) sealFrameLocked(seq uint64, programID string, traces []*trace.Trace) (MsgType, []byte) {
+	// Encode into the reusable scratch: growth amortizes across seals
+	// instead of re-estimating the frame size every time.
+	raw, err := trace.AppendBatch(c.sealScratch[:0], programID, traces)
 	if err != nil {
-		return err
+		return MsgSubmitBatchColumnar, appendSeqPrefix(nil, c.session, seq)
 	}
-	if err := checkAck(respType, resp, len(traces)); err != nil {
-		c.mu.Lock()
-		c.noteRedirectLocked(err)
-		c.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// SubmitTracesFor implements pod.ProgramSubmitter: one per-program frame,
-// one ack — the server skips its group-by. The frame is sequenced, so the
-// transparent retry after a lost ack cannot double-ingest against a
-// dedup-capable backend. Against a columnar-negotiated server the batch
-// ships column-wise — one encoding the hive can ingest zero-copy and
-// journal verbatim.
-func (c *Client) SubmitTracesFor(programID string, traces []*trace.Trace) error {
-	c.mu.Lock()
-	c.ensureNegotiatedLocked()
-	c.seq++
-	msg, payload, err := c.sealFrameLocked(c.seq, programID, traces)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// The frame is sealed once — every retry below resends it verbatim
-	// with its original (session, seq) tag, so a busy round that raced a
-	// late apply deduplicates instead of double-ingesting. The backoff
-	// sleeps happen outside the client lock: other goroutines sharing this
-	// client keep submitting while one frame waits out a busy hive.
-	retries := c.BusyRetries
-	if retries <= 0 {
-		retries = defaultBusyRetries
-	}
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		respType, resp, err := c.callLocked(msg, payload)
-		if err == nil {
-			if err = checkAck(respType, resp, len(traces)); err != nil {
-				c.noteRedirectLocked(err)
-			}
-		}
-		c.mu.Unlock()
-		var be *BusyError
-		if err == nil || !errors.As(err, &be) || attempt >= retries {
-			return err
-		}
-		time.Sleep(c.backoff(attempt, be.RetryAfter))
-	}
-}
-
-// sealFrameLocked encodes one sequenced submission frame for the
-// negotiated encoding: columnar when granted (falling back per-batch if the
-// traces do not all describe programID — the server rejects those, exactly
-// as the v2 path would), v2 otherwise. When compression is engaged the
-// canonical columnar bytes are built in a reusable scratch, compressed, and
-// shipped as MsgSubmitBatchCompressed if that actually saved bytes — the
-// (session, seq) tag stays outside the compressed region, and the server
-// inflates back to the identical canonical payload before ingest, so dedup
-// and journal byte-identity are untouched.
-func (c *Client) sealFrameLocked(seq uint64, programID string, traces []*trace.Trace) (MsgType, []byte, error) {
-	if c.columnar {
-		// Encode into the reusable scratch: growth amortizes across seals
-		// instead of re-estimating the frame size every time.
-		raw, err := trace.AppendBatch(c.sealScratch[:0], programID, traces)
-		if err == nil {
-			c.sealScratch = raw
-			if c.compressing && len(raw) >= compressMinBytes {
-				comp := appendSeqPrefix(make([]byte, 0, len(raw)/4+64), c.session, seq)
-				comp = trace.CompressSlab(comp, raw)
-				if len(comp) < len(raw) {
-					return MsgSubmitBatchCompressed, comp, nil
-				}
-			}
-			payload := appendSeqPrefix(make([]byte, 0, len(raw)+len(c.session)+16), c.session, seq)
-			payload = append(payload, raw...)
-			return MsgSubmitBatchColumnar, payload, nil
+	c.sealScratch = raw
+	if c.compressing && len(raw) >= compressMinBytes {
+		comp := appendSeqPrefix(make([]byte, 0, len(raw)/4+64), c.session, seq)
+		comp = trace.CompressSlab(comp, raw)
+		if len(comp) < len(raw) {
+			return MsgSubmitBatchCompressed, comp
 		}
 	}
-	encoded := make([][]byte, len(traces))
-	for i, tr := range traces {
-		encoded[i] = trace.Encode(tr)
-	}
-	return MsgSubmitTracesSeq, encodeTraceBatchSeq(c.session, seq, programID, encoded), nil
-}
-
-// SubmitTraceBatches implements pod.TraceStreamer: every batch becomes its
-// own sequenced per-program frame, streamed back-to-back without waiting
-// for acks (bounded by maxInflightFrames), and the pipelined acks are read
-// in frame order. Against a pipelined server a drain of n batches costs
-// ~n/window round trips instead of n. The returned flags report, per batch,
-// whether the server acknowledged it — on error a caller re-submits exactly
-// the unacknowledged batches, never a batch the server already ingested.
-//
-// A transport failure drops the connection and retries once on a fresh one,
-// resuming after the last acknowledged frame. Frames written but unacked
-// when the connection died keep their original (session, seq) tags on the
-// resend, so a dedup-capable backend (hive.Hive) acknowledges the ones it
-// already ingested without applying them again: resubmission is
-// exactly-once end to end, retiring the old at-least-once caveat. The final
-// error after a failed retry wraps the last underlying transport failure.
-func (c *Client) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	return c.SubmitSealed(c.SealTraceBatches(programID, batches))
+	payload := appendSeqPrefix(make([]byte, 0, len(raw)+len(c.session)+16), c.session, seq)
+	return MsgSubmitBatchColumnar, append(payload, raw...)
 }
 
 // SealTraceBatches implements pod.SealedStreamer: every batch becomes a
@@ -601,15 +439,17 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 	sealed := make([]pod.SealedBatch, len(batches))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ensureNegotiatedLocked()
+	// Connect first: the hello's RTT probe decides compression. Sealing
+	// does not need the link, so a failed dial seals with the last known
+	// setting and leaves the error to SubmitSealed.
+	_ = c.dialLocked()
 	for i, batch := range batches {
 		c.seq++
-		msg, payload, _ := c.sealFrameLocked(c.seq, programID, batch)
+		msg, payload := c.sealFrameLocked(c.seq, programID, batch)
 		sealed[i] = pod.SealedBatch{
 			ProgramID:  programID,
 			Count:      len(batch),
 			Payload:    payload,
-			Columnar:   msg == MsgSubmitBatchColumnar,
 			Compressed: msg == MsgSubmitBatchCompressed,
 		}
 	}
@@ -698,10 +538,7 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 	for i, sb := range sealed {
 		payloads[i] = sb.Payload
 		counts[i] = sb.Count
-		msgs[i] = MsgSubmitTracesSeq
-		if sb.Columnar {
-			msgs[i] = MsgSubmitBatchColumnar
-		}
+		msgs[i] = MsgSubmitBatchColumnar
 		if sb.Compressed {
 			msgs[i] = MsgSubmitBatchCompressed
 		}
@@ -712,11 +549,12 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := c.dialLocked(); err != nil {
-			return err
+			lastErr = err
+			continue
 		}
 		var err error
 		var transport bool
-		if c.coalesce {
+		if !c.DisableCoalesce {
 			err, transport = c.streamCoalescedLocked(msgs, payloads, counts, &acked, accepted)
 		} else {
 			err, transport = c.streamLocked(msgs, payloads, counts, &acked, accepted)
@@ -802,8 +640,8 @@ func (c *Client) readAcks(counts []int, acked *int, target, written int, accepte
 	return nil, false
 }
 
-// streamCoalescedLocked is streamLocked for a FeatureCoalesce connection:
-// the unacknowledged suffix is cut into groups of up to CoalesceDepth
+// streamCoalescedLocked is streamLocked in mega-frames (the default): the
+// unacknowledged suffix is cut into groups of up to CoalesceDepth
 // frames under a byte budget, every group ships as one MsgCoalesced
 // mega-frame written with a single writev, and the server answers one
 // mega-frame of inner acks per group. The pipelining window counts
@@ -842,7 +680,7 @@ func (c *Client) streamCoalescedLocked(msgs []MsgType, payloads [][]byte, counts
 			var err error
 			if end == sent+1 && size+6 > c.maxFrame {
 				// A lone frame too big to wrap in a mega-frame under the
-				// negotiated limit ships plain; its ack comes back plain too.
+				// granted limit ships plain; its ack comes back plain too.
 				err = WriteFrame(c.conn, msgs[sent], payloads[sent])
 			} else {
 				c.hdrScratch, c.bufScratch, err = writeCoalesced(c.conn, msgs, payloads, sent, end, c.hdrScratch, c.bufScratch)
@@ -938,22 +776,10 @@ func (c *Client) readGroupAck(counts []int, accepted []bool, start, end int) (er
 	return firstErr, false
 }
 
-// checkAck validates one submission acknowledgement — the JSON form (v2
-// frames) or the binary form (columnar frames).
+// checkAck validates one submission reply: a binary ack, a redirect, or a
+// busy reply.
 func checkAck(respType MsgType, resp []byte, want int) error {
 	switch respType {
-	case MsgAck:
-		var ack AckPayload
-		if err := json.Unmarshal(resp, &ack); err != nil {
-			return fmt.Errorf("wire: bad ack: %w", err)
-		}
-		if ack.Error != "" {
-			return errors.New("wire: server: " + ack.Error)
-		}
-		if ack.Accepted != want {
-			return fmt.Errorf("wire: server accepted %d of %d traces", ack.Accepted, want)
-		}
-		return nil
 	case MsgAckBin:
 		accepted, _, errMsg, err := decodeAckBin(resp)
 		if err != nil {

@@ -60,10 +60,7 @@ func TestCoalescedRoundTrip(t *testing.T) {
 		batches := chunkTraces(makeTraces(t, p, 200), 20)
 		sealed := client.SealTraceBatches(p.ID, batches)
 		compressed := 0
-		for i, sb := range sealed {
-			if !sb.Columnar && !sb.Compressed {
-				t.Fatalf("compress=%v: frame %d sealed v2", compress, i)
-			}
+		for _, sb := range sealed {
 			if sb.Compressed {
 				compressed++
 			}
@@ -98,7 +95,7 @@ func TestCoalescedRoundTrip(t *testing.T) {
 
 // rawHello performs one hello exchange on a raw connection and returns the
 // server's ack.
-func rawHello(t *testing.T, addr string, req HelloPayload) HelloAckPayload {
+func rawHello(t *testing.T, addr string, req HelloPayload) HelloReplyPayload {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -119,7 +116,7 @@ func rawHello(t *testing.T, addr string, req HelloPayload) HelloAckPayload {
 	if respType != MsgHelloAck {
 		t.Fatalf("hello answered with frame type %d", respType)
 	}
-	var ack HelloAckPayload
+	var ack HelloReplyPayload
 	if err := json.Unmarshal(resp, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -127,30 +124,22 @@ func rawHello(t *testing.T, addr string, req HelloPayload) HelloAckPayload {
 }
 
 // TestNegotiatedMaxFrame pins the frame-size grant arithmetic: the server
-// grants min(requested, server cap), never below the universal MaxFrameSize,
-// and a WAN-disabled server grants neither the raise nor the WAN features.
+// grants min(requested, server cap), never below the universal
+// MaxFrameSize, and an unsharded server advertises no placement.
 func TestNegotiatedMaxFrame(t *testing.T) {
 	p := buildCrashy(t)
-	ask := HelloPayload{
-		Features: []string{FeatureColumnarBatch, FeatureCoalesce, FeatureSlabFlate},
-		MaxFrame: MaxCoalescedFrameSize,
-	}
-	hasFeature := func(ack HelloAckPayload, f string) bool {
-		for _, g := range ack.Features {
-			if g == f {
-				return true
-			}
-		}
-		return false
-	}
+	ask := HelloPayload{MaxFrame: MaxCoalescedFrameSize}
 
 	_, _, addr := coalesceFixture(t, p)
 	ack := rawHello(t, addr, ask)
 	if ack.MaxFrame != MaxCoalescedFrameSize {
 		t.Fatalf("default server granted max frame %d, want %d", ack.MaxFrame, MaxCoalescedFrameSize)
 	}
-	if !hasFeature(ack, FeatureCoalesce) || !hasFeature(ack, FeatureSlabFlate) {
-		t.Fatalf("default server granted features %v", ack.Features)
+	if ack.Placement != nil {
+		t.Fatalf("unsharded server advertised placement %+v", ack.Placement)
+	}
+	if ack := rawHello(t, addr, HelloPayload{}); ack.MaxFrame != 0 {
+		t.Fatalf("server raised the limit to %d unasked", ack.MaxFrame)
 	}
 
 	_, srv, addr := coalesceFixture(t, p)
@@ -165,19 +154,6 @@ func TestNegotiatedMaxFrame(t *testing.T) {
 	srv.MaxFrame = 1 << 20
 	if ack := rawHello(t, addr, ask); ack.MaxFrame != 0 {
 		t.Fatalf("under-floor cap still granted max frame %d", ack.MaxFrame)
-	}
-
-	_, srv, addr = coalesceFixture(t, p)
-	srv.DisableWAN = true
-	ack = rawHello(t, addr, ask)
-	if ack.MaxFrame != 0 {
-		t.Fatalf("WAN-disabled server granted max frame %d", ack.MaxFrame)
-	}
-	if hasFeature(ack, FeatureCoalesce) || hasFeature(ack, FeatureSlabFlate) {
-		t.Fatalf("WAN-disabled server granted WAN features %v", ack.Features)
-	}
-	if !hasFeature(ack, FeatureColumnarBatch) {
-		t.Fatalf("WAN-disabled server lost the columnar feature: %v", ack.Features)
 	}
 }
 
@@ -264,7 +240,7 @@ func TestCompressedJournalBytesIdentity(t *testing.T) {
 func TestCompressedBombRejectedOverWire(t *testing.T) {
 	p := buildCrashy(t)
 	_, _, addr := coalesceFixture(t, p)
-	conn, err := net.Dial("tcp", addr)
+	conn, err := dialHello(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,35 +315,5 @@ func TestCoalescedMidGroupRejection(t *testing.T) {
 	}
 	if want := int64(9 * perBatch); st.Ingested != want {
 		t.Fatalf("hive ingested %d traces, want exactly %d", st.Ingested, want)
-	}
-}
-
-// TestRetryErrorCarriesFeatures pins the diagnostic contract on the final
-// retry error: when a negotiated connection dies twice, the error names the
-// features in effect — in a mixed fleet, "failed while coalescing at a
-// raised frame limit" and "failed on the legacy path" must be
-// distinguishable from logs alone.
-func TestRetryErrorCarriesFeatures(t *testing.T) {
-	p, _, err := proggen.Generate(proggen.Spec{Seed: 7004, Depth: 4, NumInputs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, addr := coalesceFixture(t, p)
-	// Connection 0 forwards the hello ack, then kills on the first group
-	// ack; connection 1 forwards one group ack, then kills the retry too.
-	proxy := newFlakyProxy(t, addr, 1, 2)
-	client := Dial(proxy.addr())
-	defer client.Close()
-	client.CoalesceDepth = 1
-
-	sealed := client.SealTraceBatches(p.ID, makeBatches(t, p, 2, 4))
-	_, serr := client.SubmitSealed(sealed)
-	if serr == nil {
-		t.Fatal("expected the doubly-killed submit to fail")
-	}
-	for _, want := range []string{"unreachable after retry", FeatureCoalesce, FeatureSlabFlate, "max-frame="} {
-		if !strings.Contains(serr.Error(), want) {
-			t.Fatalf("retry error missing %q: %v", want, serr)
-		}
 	}
 }

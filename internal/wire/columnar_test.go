@@ -31,64 +31,29 @@ func makeTraces(t *testing.T, p *prog.Program, n int) []*trace.Trace {
 	return out
 }
 
-// TestColumnarNegotiation pins the hello exchange: a new server grants the
-// columnar feature, an old (DisableColumnar) server answers like a build
-// that has never heard of hello, and the client pins the v2 encoding.
-func TestColumnarNegotiation(t *testing.T) {
-	p := buildCrashy(t)
-	for _, old := range []bool{false, true} {
-		h := hive.New("fleet")
-		if err := h.RegisterProgram(p); err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(h)
-		srv.Logf = t.Logf
-		srv.DisableColumnar = old
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		client := Dial(addr)
-		sealed := client.SealTraceBatches(p.ID, [][]*trace.Trace{makeTraces(t, p, 4)})
-		if got, want := sealed[0].Columnar, !old; got != want {
-			t.Errorf("oldServer=%v: sealed columnar = %v, want %v", old, got, want)
-		}
-		if _, err := client.SubmitSealed(sealed); err != nil {
-			t.Errorf("oldServer=%v: submit: %v", old, err)
-		}
-		st, err := h.ProgramStats(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Ingested != 4 {
-			t.Errorf("oldServer=%v: ingested %d, want 4", old, st.Ingested)
-		}
-		_ = client.Close()
-		_ = srv.Close()
-	}
-}
-
-// TestColumnarMixedClients proves fleet members of three generations
-// interoperate in every pairing: pre-hello ("old"), columnar-but-pre-WAN
-// ("pr5"), and WAN-capable ("new") clients concurrently streaming to
-// servers of all three generations, every trace ingested exactly once,
-// identical final hive state. The new clients force compression so the
-// compressed frame type is actually exercised on loopback; against
-// downgraded servers they must silently fall back via the hello
-// intersection. Run under -race in CI.
+// TestColumnarMixedClients proves fleet members with different transport
+// choices — coalesced mega-frames with forced compression (so the
+// compressed frame type is exercised on loopback), plain frames without
+// compression, and the defaults — interoperate concurrently on one server
+// with every trace ingested exactly once, and that the choice is invisible
+// to aggregation: a mixed fleet and a fleet of each single choice leave
+// identical hive state. Run under -race in CI.
 func TestColumnarMixedClients(t *testing.T) {
 	p := buildCrashy(t)
-	serverModes := []string{"new", "pr5", "old"}
+	configure := []func(*Client){
+		func(c *Client) { c.ForceCompress = true },
+		func(c *Client) { c.DisableCoalesce, c.DisableCompression = true, true },
+		func(c *Client) {},
+	}
+	fleets := []string{"mixed", "compressed", "plain", "default"}
 	var stats []hive.Stats
-	for _, mode := range serverModes {
+	for fi, fleet := range fleets {
 		h := hive.New("fleet")
 		if err := h.RegisterProgram(p); err != nil {
 			t.Fatal(err)
 		}
 		srv := NewServer(h)
 		srv.Logf = t.Logf
-		srv.DisableWAN = mode == "pr5"
-		srv.DisableColumnar = mode == "old"
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -103,14 +68,10 @@ func TestColumnarMixedClients(t *testing.T) {
 			go func(c int) {
 				defer wg.Done()
 				client := Dial(addr)
-				switch c % 3 {
-				case 0: // WAN build: coalesced mega-frames, forced compression
-					client.ForceCompress = true
-				case 1: // PR-5 build: columnar only
-					client.DisableCoalesce = true
-					client.DisableCompression = true
-				case 2: // pre-hello build
-					client.DisableColumnar = true
+				if fi == 0 {
+					configure[c%len(configure)](client)
+				} else {
+					configure[fi-1](client)
 				}
 				defer client.Close()
 				buf := pod.NewBufferedFor(client, p.ID)
@@ -128,7 +89,7 @@ func TestColumnarMixedClients(t *testing.T) {
 		wg.Wait()
 		for c, err := range errs {
 			if err != nil {
-				t.Fatalf("server=%s client %d: %v", mode, c, err)
+				t.Fatalf("fleet=%s client %d: %v", fleet, c, err)
 			}
 		}
 		st, err := h.ProgramStats(p.ID)
@@ -136,18 +97,18 @@ func TestColumnarMixedClients(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Ingested != clients*perClient {
-			t.Fatalf("server=%s: ingested %d, want %d", mode, st.Ingested, clients*perClient)
+			t.Fatalf("fleet=%s: ingested %d, want %d", fleet, st.Ingested, clients*perClient)
 		}
 		stats = append(stats, st)
 		_ = srv.Close()
 	}
-	// The transport generation must be invisible to aggregation: same
-	// ingest counts, same failure aggregation, same tree shape every way.
+	// The transport choice must be invisible to aggregation: same ingest
+	// counts, same failure aggregation, same tree shape every way.
 	for i := range stats {
 		stats[i].Failures = nil // Sample pointers differ; counts compared via Tree/FixCount
 		if i > 0 && !reflect.DeepEqual(stats[0], stats[i]) {
 			t.Fatalf("%s and %s fleets aggregated differently:\n%+v\n%+v",
-				serverModes[0], serverModes[i], stats[0], stats[i])
+				fleets[0], fleets[i], stats[0], stats[i])
 		}
 	}
 }
@@ -183,10 +144,7 @@ func TestColumnarJournalBytesIdentity(t *testing.T) {
 	batches := [][]*trace.Trace{makeTraces(t, p, 8), makeTraces(t, p, 5)}
 	sealed := client.SealTraceBatches(p.ID, batches)
 	var wireBatches [][]byte
-	for i, sb := range sealed {
-		if !sb.Columnar {
-			t.Fatalf("frame %d sealed v2; columnar not negotiated", i)
-		}
+	for _, sb := range sealed {
 		// Strip the (session, seq) tag: the rest is the columnar batch.
 		_, _, batchBytes, err := decodeSeqPrefix(sb.Payload)
 		if err != nil {

@@ -24,7 +24,8 @@ import (
 // connection after forwarding a fixed number of acknowledgements (dropping
 // the next one) — the deterministic reproduction of "the link died after
 // the server ingested a frame but before its ack reached the client".
-// Later connections pipe transparently.
+// Hello acks are always forwarded and not counted. Later connections pipe
+// transparently.
 type ackProxy struct {
 	t           *testing.T
 	ln          net.Listener
@@ -103,7 +104,7 @@ func (p *ackProxy) pipe(client net.Conn, idx int) {
 			if err != nil {
 				return
 			}
-			if idx < p.flakyConns && forwarded == p.forwardAcks {
+			if msgType != MsgHelloAck && idx < p.flakyConns && forwarded == p.forwardAcks {
 				// Drop this ack and kill the link: the server applied the
 				// frame, the client never hears about it.
 				_ = client.Close()
@@ -113,7 +114,9 @@ func (p *ackProxy) pipe(client net.Conn, idx int) {
 			if err := WriteFrame(client, msgType, payload); err != nil {
 				return
 			}
-			forwarded++
+			if msgType != MsgHelloAck {
+				forwarded++
+			}
 		}
 	}()
 	wg.Wait()
@@ -179,9 +182,9 @@ func TestStreamResubmitExactlyOnce(t *testing.T) {
 	h, p, client := dedupFixture(t, acksSeen)
 	all := makeBatches(t, p, batches, perBatch)
 
-	accepted, err := client.SubmitTraceBatches(p.ID, all)
+	accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all))
 	if err != nil {
-		t.Fatalf("SubmitTraceBatches: %v", err)
+		t.Fatalf("SubmitSealed: %v", err)
 	}
 	for i, ok := range accepted {
 		if !ok {
@@ -198,13 +201,14 @@ func TestStreamResubmitExactlyOnce(t *testing.T) {
 }
 
 // TestSubmitForLostAckExactlyOnce loses the single ack of a per-program
-// submission after the server applied it; the client's retry must not
-// double-ingest.
+// sealed submission after the server applied it; the client's retry
+// resends the frame verbatim and must not double-ingest.
 func TestSubmitForLostAckExactlyOnce(t *testing.T) {
 	h, p, client := dedupFixture(t, 0) // drop the very first ack
 	batch := makeBatches(t, p, 1, 6)[0]
-	if err := client.SubmitTracesFor(p.ID, batch); err != nil {
-		t.Fatalf("SubmitTracesFor: %v", err)
+	accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, [][]*trace.Trace{batch}))
+	if err != nil || !accepted[0] {
+		t.Fatalf("SubmitSealed: accepted=%v err=%v", accepted, err)
 	}
 	st, err := h.ProgramStats(p.ID)
 	if err != nil {
@@ -248,7 +252,7 @@ func TestClientSurfacesUnderlyingError(t *testing.T) {
 	}
 
 	batch := [][]*trace.Trace{{{ProgramID: "x"}}}
-	_, serr := client.SubmitTraceBatches("x", batch)
+	_, serr := client.SubmitSealed(client.SealTraceBatches("x", batch))
 	if serr == nil {
 		t.Fatal("expected an error from a dead server")
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -14,8 +15,8 @@ import (
 	"repro/internal/trace"
 )
 
-// countingBackend is a HiveClient stub that counts ingested traces and can
-// be slowed down to hold frames in the pipeline.
+// countingBackend is a HiveClient + ColumnarSubmitter stub that counts
+// ingested traces and can be slowed down to hold frames in the pipeline.
 type countingBackend struct {
 	mu       sync.Mutex
 	ingested int
@@ -33,6 +34,17 @@ func (c *countingBackend) SubmitTraces(traces []*trace.Trace) error {
 	c.perCall = append(c.perCall, len(traces))
 	return nil
 }
+func (c *countingBackend) SubmitColumnarSession(_ string, _ uint64, b *trace.BatchView) (bool, error) {
+	if c.delay > 0 {
+		time.Sleep(c.delay)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ingested += b.Len()
+	c.perCall = append(c.perCall, b.Len())
+	return false, nil
+}
+
 func (c *countingBackend) FixesSince(string, int) ([]fix.Fix, int, error) { return nil, 0, nil }
 func (c *countingBackend) Guidance(string, int) ([]guidance.TestCase, error) {
 	return nil, nil
@@ -44,13 +56,36 @@ func (c *countingBackend) total() int {
 	return c.ingested
 }
 
-// encodedBatch builds a MsgSubmitTraces payload of n minimal traces.
+// encodedBatch builds an untagged MsgSubmitBatchColumnar payload of n
+// minimal traces for program "p".
 func encodedBatch(n int) []byte {
-	enc := make([][]byte, n)
-	for i := range enc {
-		enc[i] = trace.Encode(&trace.Trace{ProgramID: "p", Seq: uint64(i)})
+	traces := make([]*trace.Trace, n)
+	for i := range traces {
+		traces[i] = &trace.Trace{ProgramID: "p", Seq: uint64(i)}
 	}
-	return encodeTraceBatch(enc)
+	batch, err := trace.EncodeBatch("p", traces)
+	if err != nil {
+		panic(err)
+	}
+	return append(appendSeqPrefix(nil, "", 0), batch...)
+}
+
+// dialHello opens a raw connection and completes the hello exchange, as
+// every client must before submitting.
+func dialHello(addr string) (net.Conn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := WriteFrame(conn, MsgHello, []byte(`{}`)); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	if respType, _, err := ReadFrame(conn); err != nil || respType != MsgHelloAck {
+		conn.Close()
+		return nil, fmt.Errorf("hello: type %d, err %v", respType, err)
+	}
+	return conn, nil
 }
 
 // TestPipelinedAckOrdering writes a burst of submission frames with
@@ -66,7 +101,7 @@ func TestPipelinedAckOrdering(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
+	conn, err := dialHello(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +109,7 @@ func TestPipelinedAckOrdering(t *testing.T) {
 
 	sizes := []int{3, 1, 7, 2, 5, 4, 6, 1, 8, 2}
 	for _, n := range sizes {
-		if err := WriteFrame(conn, MsgSubmitTraces, encodedBatch(n)); err != nil {
+		if err := WriteFrame(conn, MsgSubmitBatchColumnar, encodedBatch(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,14 +146,14 @@ func TestPipelinedAcksUnderConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
+			conn, err := dialHello(addr)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer conn.Close()
 			for f := 0; f < frames; f++ {
-				if err := WriteFrame(conn, MsgSubmitTraces, encodedBatch(c+f%3+1)); err != nil {
+				if err := WriteFrame(conn, MsgSubmitBatchColumnar, encodedBatch(c+f%3+1)); err != nil {
 					errs <- err
 					return
 				}
@@ -172,7 +207,7 @@ func TestSlowConnDoesNotStallIngestion(t *testing.T) {
 
 	// The hog: pump frames forever, never read an ack. Eventually its
 	// writes block on the server's bounded queue + TCP buffers.
-	hog, err := net.Dial("tcp", addr)
+	hog, err := dialHello(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +217,7 @@ func TestSlowConnDoesNotStallIngestion(t *testing.T) {
 		defer close(hogDead)
 		payload := encodedBatch(4)
 		for {
-			if err := WriteFrame(hog, MsgSubmitTraces, payload); err != nil {
+			if err := WriteFrame(hog, MsgSubmitBatchColumnar, payload); err != nil {
 				return // closed at test end
 			}
 		}
@@ -225,8 +260,8 @@ func captureWireTrace(t *testing.T, p *prog.Program, podID string, input []int64
 	return col.Finish(podID, 0, res, input, trace.PrivacyHashed, "fleet")
 }
 
-// TestSubmitTracesForOverTCP exercises the per-program frame end-to-end
-// against a real hive: the fast path must ingest, and a batch lying about
+// TestSubmitTracesForOverTCP exercises the per-program sealed frame
+// end-to-end against a real hive: it must ingest, and a batch lying about
 // its program must be rejected server-side without partial ingestion.
 func TestSubmitTracesForOverTCP(t *testing.T) {
 	p := buildCrashy(t)
@@ -242,7 +277,7 @@ func TestSubmitTracesForOverTCP(t *testing.T) {
 		captureWireTrace(t, p, "for-pod", []int64{50}),
 		captureWireTrace(t, p, "for-pod", []int64{105}),
 	}
-	if err := client.SubmitTracesFor(p.ID, batch); err != nil {
+	if _, err := client.SubmitSealed(client.SealTraceBatches(p.ID, [][]*trace.Trace{batch})); err != nil {
 		t.Fatal(err)
 	}
 	st, err := h.ProgramStats(p.ID)
@@ -255,7 +290,7 @@ func TestSubmitTracesForOverTCP(t *testing.T) {
 
 	stray := batch[0].Clone()
 	stray.ProgramID = "ghost"
-	if err := client.SubmitTracesFor(p.ID, []*trace.Trace{stray}); err == nil {
+	if _, err := client.SubmitSealed(client.SealTraceBatches(p.ID, [][]*trace.Trace{{stray}})); err == nil {
 		t.Fatal("mismatched per-program batch accepted")
 	}
 	if st, _ := h.ProgramStats(p.ID); st.Ingested != 2 {
@@ -264,7 +299,7 @@ func TestSubmitTracesForOverTCP(t *testing.T) {
 }
 
 // TestClientStreamsBatchesOverTCP drains many batches through the
-// pipelined streaming path — more batches than the in-flight window — and
+// pipelined sealed path — more batches than the in-flight window — and
 // checks exact ingestion; a server-side error (unknown program) must
 // surface as a client error.
 func TestClientStreamsBatchesOverTCP(t *testing.T) {
@@ -297,7 +332,7 @@ func TestClientStreamsBatchesOverTCP(t *testing.T) {
 		}
 		total += n
 	}
-	accepted, err := client.SubmitTraceBatches(p.ID, batches)
+	accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, batches))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +351,7 @@ func TestClientStreamsBatchesOverTCP(t *testing.T) {
 
 	ghost := tmpl.Clone()
 	ghost.ProgramID = "ghost"
-	accepted, err = client.SubmitTraceBatches("ghost", [][]*trace.Trace{{ghost}})
+	accepted, err = client.SubmitSealed(client.SealTraceBatches("ghost", [][]*trace.Trace{{ghost}}))
 	if err == nil {
 		t.Fatal("stream for unknown program accepted")
 	}
@@ -324,7 +359,7 @@ func TestClientStreamsBatchesOverTCP(t *testing.T) {
 		t.Fatalf("rejected stream reported accepted = %v", accepted)
 	}
 	// The connection survives a server-side rejection.
-	if err := client.SubmitTracesFor(p.ID, batches[0]); err != nil {
+	if err := client.SubmitTraces(batches[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -351,7 +386,7 @@ func TestStreamMidRejectionMarksLaterAcceptance(t *testing.T) {
 	bad := good(99)
 	bad.ProgramID = "ghost"
 	batches := [][]*trace.Trace{{good(0)}, {bad}, {good(1)}}
-	accepted, err := client.SubmitTraceBatches(p.ID, batches)
+	accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, batches))
 	if err == nil {
 		t.Fatal("stream with a mismatched batch fully accepted")
 	}
@@ -370,10 +405,11 @@ func TestStreamMidRejectionMarksLaterAcceptance(t *testing.T) {
 	}
 }
 
-// TestSubmitForMismatchRejectedOnAnyBackend pins that the per-program
-// frame's all-or-nothing mismatch rejection is enforced by the server
-// itself, not delegated to backends that happen to check (the hive): a
-// plain HiveClient backend must yield the same rejection.
+// TestSubmitForMismatchRejectedOnAnyBackend pins that a per-program batch
+// lying about its program is rejected by the wire layer itself, not
+// delegated to backends that happen to check (the hive): the columnar
+// batch names its program once, so such a batch cannot even be sealed, and
+// a counting stub backend never sees it.
 func TestSubmitForMismatchRejectedOnAnyBackend(t *testing.T) {
 	backend := &countingBackend{}
 	srv := NewServer(backend)
@@ -387,14 +423,14 @@ func TestSubmitForMismatchRejectedOnAnyBackend(t *testing.T) {
 	defer client.Close()
 
 	stray := &trace.Trace{ProgramID: "B"}
-	if err := client.SubmitTracesFor("A", []*trace.Trace{stray}); err == nil {
-		t.Fatal("mismatched per-program batch accepted by plain backend")
+	if _, err := client.SubmitSealed(client.SealTraceBatches("A", [][]*trace.Trace{{stray}})); err == nil {
+		t.Fatal("mismatched per-program batch accepted by stub backend")
 	}
 	if got := backend.total(); got != 0 {
 		t.Fatalf("stub backend ingested %d traces from a rejected batch", got)
 	}
-	// A matching batch still flows through the grouped fallback.
-	if err := client.SubmitTracesFor("B", []*trace.Trace{stray}); err != nil {
+	// A matching batch still flows through.
+	if _, err := client.SubmitSealed(client.SealTraceBatches("B", [][]*trace.Trace{{stray}})); err != nil {
 		t.Fatal(err)
 	}
 	if got := backend.total(); got != 1 {

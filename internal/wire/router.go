@@ -49,13 +49,11 @@ type Router struct {
 	DisableCompression bool
 	ForceCompress      bool
 	CoalesceDepth      int
-	// RetryBase, RetryCap, BusyRetries and DisableBusy are the busy-backoff
-	// knobs, copied onto every client this router creates. Set before
-	// first use.
+	// RetryBase, RetryCap and BusyRetries are the busy-backoff knobs,
+	// copied onto every client this router creates. Set before first use.
 	RetryBase   time.Duration
 	RetryCap    time.Duration
 	BusyRetries int
-	DisableBusy bool
 
 	// rng is the router's own xorshift64 jitter state for fleet-level
 	// busy-round pacing (lock-free).
@@ -63,8 +61,6 @@ type Router struct {
 }
 
 var _ pod.HiveClient = (*Router)(nil)
-var _ pod.ProgramSubmitter = (*Router)(nil)
-var _ pod.TraceStreamer = (*Router)(nil)
 var _ pod.SealedStreamer = (*Router)(nil)
 
 // maxRouteAttempts bounds how many placement generations one submission
@@ -116,7 +112,6 @@ func (r *Router) clientLocked(addr string) *Client {
 	c.RetryBase = r.RetryBase
 	c.RetryCap = r.RetryCap
 	c.BusyRetries = r.BusyRetries
-	c.DisableBusy = r.DisableBusy
 	r.clients[addr] = c
 	return c
 }
@@ -152,7 +147,7 @@ func (r *Router) adoptLocked(m *ring.Map) {
 // refreshLocked polls every seed for its advertised placement and keeps
 // the newest. force re-runs the hello exchange on each seed (a transport
 // error suggested the cached map predates a membership change); without
-// force a map already held is kept and only never-negotiated seeds are
+// force a map already held is kept and only never-connected seeds are
 // asked. Seeds that are down are skipped — any one live member suffices.
 func (r *Router) refreshLocked(force bool) {
 	if r.placement != nil && !force {
@@ -347,66 +342,13 @@ func (r *Router) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 	return c.SealTraceBatches(programID, batches)
 }
 
-// SubmitTraceBatches implements pod.TraceStreamer by sealing against the
-// owner and draining through the routed sealed path.
-func (r *Router) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	return r.SubmitSealed(r.SealTraceBatches(programID, batches))
-}
-
-// SubmitTracesFor implements pod.ProgramSubmitter with redirect-chasing:
-// a frame answered with MsgRedirect re-seals nothing — the same traces
-// are resubmitted to the new owner (the fresh frame carries a fresh seq;
-// the redirected one was never applied anywhere).
-func (r *Router) SubmitTracesFor(programID string, traces []*trace.Trace) error {
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		r.mu.Lock()
-		c := r.clientLocked(r.ownerLocked(programID))
-		r.mu.Unlock()
-		err := c.SubmitTracesFor(programID, traces)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		r.noteRoutingError(err)
-		// A busy error surfacing here means the client already exhausted
-		// its own backoff rounds; pace once more before the next routing
-		// attempt instead of hammering the shedding owner.
-		var be *BusyError
-		if errors.As(err, &be) {
-			time.Sleep(backoffDelay(r.RetryBase, r.RetryCap, attempt, be.RetryAfter, r.jitter()))
-		}
-	}
-	return lastErr
-}
-
-// SubmitTraces implements pod.HiveClient: an unsequenced grouped batch
-// splits by each trace's program owner. Misdirected remainders are the
-// server's problem (it proxies them), so one pass per owner suffices.
+// SubmitTraces implements pod.HiveClient: the batch is grouped by
+// program, each group is sealed against its owner, and the frames drain
+// through the routed sealed path — sequenced, exactly-once, and
+// redirect-chasing.
 func (r *Router) SubmitTraces(traces []*trace.Trace) error {
-	r.mu.Lock()
-	groups := make(map[string][]*trace.Trace)
-	for _, tr := range traces {
-		owner := r.ownerLocked(tr.ProgramID)
-		groups[owner] = append(groups[owner], tr)
-	}
-	clients := make(map[string]*Client, len(groups))
-	for owner := range groups {
-		clients[owner] = r.clientLocked(owner)
-	}
-	r.mu.Unlock()
-	owners := make([]string, 0, len(groups))
-	for owner := range groups {
-		owners = append(owners, owner)
-	}
-	sort.Strings(owners)
-	var firstErr error
-	for _, owner := range owners {
-		if err := clients[owner].SubmitTraces(groups[owner]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	_, err := r.SubmitSealed(sealByProgram(r, traces))
+	return err
 }
 
 // FixesSince implements pod.HiveClient, asking the program's owner (a

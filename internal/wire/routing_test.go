@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 
@@ -291,11 +292,14 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 	}
 }
 
-// TestMixedGenerationRoutedMatrix points every older client generation at
-// the WRONG member of a sharded fleet: the server must proxy their frames
-// to the owner (older builds cannot parse MsgRedirect), and reads (fixes,
-// guidance) must come back through the same proxy. The routed generation
-// goes direct. Run under -race in CI's cluster job.
+// TestMixedGenerationRoutedMatrix points each client generation at the
+// WRONG member of a sharded fleet and pins what it gets now that hello is
+// mandatory and submissions are never proxied: a pre-hello client's
+// submission is refused with an error ack; a client that does not chase
+// redirects (a bare Client) gets a typed RedirectError naming the owner; a
+// Router follows the redirect to the owner. Nothing is ever applied on the
+// wrong member, and reads (fixes, guidance) asked of it are proxied to the
+// owner. Run under -race in CI's cluster job.
 func TestMixedGenerationRoutedMatrix(t *testing.T) {
 	corpus := buildRoutedCorpus(t, 4)
 	nodes, m := startFleet(t, 2, corpus)
@@ -304,27 +308,44 @@ func TestMixedGenerationRoutedMatrix(t *testing.T) {
 	owner := nodeByAddr(t, nodes, m.Owner(p.ID))
 
 	gens := []struct {
-		name   string
-		submit func(t *testing.T, batch []*trace.Trace)
+		name    string
+		applied int64 // traces the owner gains
+		submit  func(t *testing.T, batch []*trace.Trace)
 	}{
-		{"pre-hello", func(t *testing.T, batch []*trace.Trace) {
-			c := Dial(wrong.addr)
-			c.DisableColumnar = true
-			defer c.Close()
-			if err := c.SubmitTracesFor(p.ID, batch); err != nil {
-				t.Fatalf("pre-hello submit via wrong node: %v", err)
+		{"pre-hello", 0, func(t *testing.T, batch []*trace.Trace) {
+			enc, err := trace.EncodeBatch(p.ID, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", wrong.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := WriteFrame(conn, MsgSubmitBatchColumnar, append(appendSeqPrefix(nil, "old", 1), enc...)); err != nil {
+				t.Fatal(err)
+			}
+			respType, resp, err := ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkAck(respType, resp, len(batch)); err == nil || !strings.Contains(err.Error(), "before hello") {
+				t.Fatalf("pre-hello submit via wrong node answered %v, want a before-hello error ack", err)
 			}
 		}},
-		{"pr7-no-routing", func(t *testing.T, batch []*trace.Trace) {
+		{"pr7-no-routing", 0, func(t *testing.T, batch []*trace.Trace) {
 			c := Dial(wrong.addr)
-			c.DisableRouting = true
 			defer c.Close()
 			acc, err := c.SubmitSealed(c.SealTraceBatches(p.ID, [][]*trace.Trace{batch}))
-			if err != nil || !acc[0] {
-				t.Fatalf("non-routing sealed submit via wrong node: acc=%v err=%v", acc, err)
+			var re *RedirectError
+			if !errors.As(err, &re) || acc[0] {
+				t.Fatalf("bare client via wrong node: acc=%v err=%v, want an unaccepted RedirectError", acc, err)
+			}
+			if re.Owner != owner.addr {
+				t.Fatalf("redirect names %s, want owner %s", re.Owner, owner.addr)
 			}
 		}},
-		{"routed", func(t *testing.T, batch []*trace.Trace) {
+		{"routed", 1, func(t *testing.T, batch []*trace.Trace) {
 			r := NewRouter(wrong.addr)
 			defer r.Close()
 			acc, err := r.SubmitSealed(r.SealTraceBatches(p.ID, [][]*trace.Trace{batch}))
@@ -344,42 +365,22 @@ func TestMixedGenerationRoutedMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if after.Ingested != before.Ingested+1 {
-				t.Fatalf("owner ingested %d -> %d, want +1", before.Ingested, after.Ingested)
+			if after.Ingested != before.Ingested+gen.applied {
+				t.Fatalf("owner ingested %d -> %d, want +%d", before.Ingested, after.Ingested, gen.applied)
 			}
 			if st, _ := wrong.h.ProgramStats(p.ID); st.Ingested != 0 {
-				t.Fatalf("wrong node ingested %d traces (proxy leaked ingest)", st.Ingested)
+				t.Fatalf("wrong node ingested %d traces", st.Ingested)
 			}
 		})
 	}
 
-	// Legacy grouped submission spanning both owners splits server-side.
-	pLocal := pickOwnedBy(t, nodes, corpus, m, wrong.addr, true)
-	legacy := Dial(wrong.addr)
-	legacy.DisableColumnar = true
-	defer legacy.Close()
-	mixed := []*trace.Trace{
-		captureWireTrace(t, pLocal, "legacy-pod", []int64{7}),
-		captureWireTrace(t, p, "legacy-pod", []int64{8}),
-	}
-	beforeFar, _ := owner.h.ProgramStats(p.ID)
-	if err := legacy.SubmitTraces(mixed); err != nil {
-		t.Fatalf("legacy grouped submit: %v", err)
-	}
-	if st, _ := wrong.h.ProgramStats(pLocal.ID); st.Ingested != 1 {
-		t.Fatalf("local half of grouped submit: ingested=%d", st.Ingested)
-	}
-	if st, _ := owner.h.ProgramStats(p.ID); st.Ingested != beforeFar.Ingested+1 {
-		t.Fatalf("proxied half of grouped submit: ingested=%d want %d", st.Ingested, beforeFar.Ingested+1)
-	}
-
-	// Read path through a pre-ring pod at the wrong node: crash traces are
-	// proxied to the owner, the fix it mints is proxied back.
-	old := Dial(wrong.addr)
-	old.DisableColumnar = true
-	defer old.Close()
+	// A pod routing from the wrong member: its crash lands on the owner,
+	// which mints the fix; a bare client asking the wrong member for fixes
+	// and guidance is answered through the read proxy.
+	r := NewRouter(wrong.addr)
+	defer r.Close()
 	pd, err := pod.New(pod.Config{
-		Program: p, ID: "old-gen-pod", Hive: old,
+		Program: p, ID: "routed-pod", Hive: r,
 		Privacy: trace.PrivacyHashed, Salt: "fleet", BatchSize: 1,
 	})
 	if err != nil {
@@ -388,14 +389,16 @@ func TestMixedGenerationRoutedMatrix(t *testing.T) {
 	if _, err := pd.RunOnce([]int64{105}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := owner.h.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
+	if st, _ := owner.h.ProgramStats(p.ID); st.FixCount == 0 {
+		t.Fatal("routed crash minted no fix on the owner")
 	}
-	if st.FixCount == 0 {
-		t.Fatal("crash via proxied pre-ring pod minted no fix on the owner")
+	c := Dial(wrong.addr)
+	defer c.Close()
+	fixes, _, err := c.FixesSince(p.ID, 0)
+	if err != nil || len(fixes) == 0 {
+		t.Fatalf("fixes via wrong node: %d fixes, err %v", len(fixes), err)
 	}
-	if _, err := old.Guidance(p.ID, 4); err != nil {
+	if _, err := c.Guidance(p.ID, 4); err != nil {
 		t.Fatalf("guidance via wrong node: %v", err)
 	}
 }

@@ -1,9 +1,13 @@
 // Package wire implements the pod↔hive telemetry protocol over TCP:
-// length-prefixed frames carrying a type byte and a payload (binary-encoded
-// traces for the hot path, JSON for control messages). The Client satisfies
-// pod.HiveClient, so a pod is pointed either at an in-process hive or at a
-// remote one without code changes; the Server wraps any pod.HiveClient
-// backend (normally *hive.Hive).
+// length-prefixed frames carrying a type byte and a payload (columnar trace
+// batches on the hot path, JSON for control messages). Every connection
+// opens with a hello exchange (MsgHello/MsgHelloAck) that grants the
+// connection's frame-size limit and, on a sharded hive, advertises the
+// placement map; a server refuses submissions on a connection that has not
+// said hello. The Client satisfies pod.HiveClient, so a pod is pointed
+// either at an in-process hive or at a remote one without code changes;
+// the Server wraps any pod.HiveClient backend that also implements
+// pod.ColumnarSubmitter (normally *hive.Hive).
 package wire
 
 import (
@@ -18,52 +22,39 @@ import (
 // MsgType discriminates frames.
 type MsgType uint8
 
-// Frame types.
+// Frame types. The values are wire format and are pinned explicitly.
+// Retired values stay reserved and are answered MsgError ("unknown message
+// type"): 1 (unsequenced grouped submission), 2 (JSON submission ack), 8
+// (per-program submission) and 9 (sequenced per-trace submission).
 const (
-	MsgSubmitTraces MsgType = iota + 1
-	MsgAck
-	MsgGetFixes
-	MsgFixes
-	MsgGetGuidance
-	MsgGuidance
-	MsgError
-	// MsgSubmitTracesFor is per-program submission: the payload carries the
-	// program ID once, followed by the trace batch, so the backend skips its
-	// group-by step. Clients may pipeline many of these frames back-to-back;
-	// the server acks each in arrival order.
-	MsgSubmitTracesFor
-	// MsgSubmitTracesSeq is per-program submission tagged with the client's
-	// session ID and a per-frame sequence number for exactly-once
-	// resubmission: a frame resent after a reconnect carries its original
-	// (session, seq), so a backend keeping a per-session dedup window
-	// acknowledges already-applied frames without re-ingesting them.
-	// Pipelines like MsgSubmitTracesFor.
-	MsgSubmitTracesSeq
-	// MsgHello opens feature negotiation: the client lists the protocol
-	// features it speaks (JSON HelloPayload) and the server answers with the
-	// intersection it accepts (MsgHelloAck). A pre-negotiation server
-	// answers MsgError ("unknown message type"), which a client reads as
-	// the empty feature set — old and new endpoints interoperate in every
-	// pairing.
-	MsgHello
-	// MsgHelloAck carries the server's accepted feature list.
-	MsgHelloAck
-	// MsgAckBin is the binary acknowledgement for columnar submissions:
-	// uvarint accepted count, a flags byte (bit 0 = duplicate), then the
-	// error string (empty on success). Sent only in reply to
-	// MsgSubmitBatchColumnar — a frame type only negotiated clients emit —
-	// so pre-negotiation fleet members never see it; it spares the ingest
-	// hot path a JSON marshal and parse per frame in each direction.
-	MsgAckBin
+	MsgGetFixes    MsgType = 3
+	MsgFixes       MsgType = 4
+	MsgGetGuidance MsgType = 5
+	MsgGuidance    MsgType = 6
+	MsgError       MsgType = 7
+	// MsgHello opens every connection: the client asks for a frame-size
+	// limit (JSON HelloPayload) and the server answers MsgHelloAck with the
+	// grant and, when it is a ring member, its placement map. Submissions
+	// on a connection that has not said hello are refused.
+	MsgHello MsgType = 10
+	// MsgHelloAck carries the server's hello answer (HelloReplyPayload).
+	MsgHelloAck MsgType = 11
+	// MsgAckBin is the binary submission acknowledgement: uvarint accepted
+	// count, a flags byte (bit 0 = duplicate), then the error string (empty
+	// on success). It spares the ingest hot path a JSON marshal and parse
+	// per frame in each direction.
+	MsgAckBin MsgType = 12
 	// MsgSubmitBatchColumnar is sequenced per-program submission whose
 	// payload, after the (session, seq) prefix, is one columnar-encoded
 	// batch (trace.BatchCodec): the program ID rides once in the batch
-	// header, fields are column-wise, and a columnar-capable backend
-	// ingests the batch through a zero-copy trace.BatchView — journaling
-	// those same payload bytes verbatim — without materializing Trace
-	// structs. Sent only after the feature was negotiated; dedup semantics
-	// are identical to MsgSubmitTracesSeq (the tag spaces are shared).
-	MsgSubmitBatchColumnar
+	// header, fields are column-wise, and the backend ingests the batch
+	// through a zero-copy trace.BatchView — journaling those same payload
+	// bytes verbatim — without materializing Trace structs. A frame resent
+	// after a reconnect carries its original (session, seq), so the
+	// backend's per-session dedup window acknowledges already-applied
+	// frames without re-ingesting them. Clients may pipeline many of these
+	// frames back-to-back; the server acks each in arrival order.
+	MsgSubmitBatchColumnar MsgType = 13
 	// MsgCoalesced is a mega-frame: its payload is a back-to-back run of
 	// complete standard frames (4-byte length, type byte, payload each),
 	// written with a single writev so a whole pipelining window costs one
@@ -73,26 +64,23 @@ const (
 	// had arrived alone and answers with one MsgCoalesced carrying the
 	// inner replies in order, so per-inner-frame acks (and with them the
 	// exactly-once session dedup) are untouched. Nested coalesced frames
-	// are rejected. Sent only after FeatureCoalesce was negotiated,
-	// alongside a raised frame-size grant.
-	MsgCoalesced
+	// are rejected.
+	MsgCoalesced MsgType = 14
 	// MsgSubmitBatchCompressed is MsgSubmitBatchColumnar with the batch
 	// bytes after the (session, seq) prefix compressed by
 	// trace.CompressSlab (uvarint decompressed length + DEFLATE). The
 	// compression is transport-only: the server inflates before ingest, so
 	// the journaled bytes are the canonical decompressed columnar payload,
-	// byte-identical to an uncompressed submission of the same batch. Sent
-	// only after FeatureSlabFlate was negotiated; dedup semantics are
-	// identical to MsgSubmitBatchColumnar.
-	MsgSubmitBatchCompressed
+	// byte-identical to an uncompressed submission of the same batch. Dedup
+	// semantics are identical to MsgSubmitBatchColumnar.
+	MsgSubmitBatchCompressed MsgType = 15
 	// MsgRedirect answers a submission for a program this hive does not
 	// own under the current placement map: the payload (RedirectPayload)
 	// names the owning node and carries the full placement, so the client
 	// re-dials the owner and resubmits its parked sealed frames verbatim —
 	// the (session, seq) dedup guarantees no acknowledged trace is ever
-	// double-applied across the move. Sent only to clients that negotiated
-	// FeatureRouting; pre-ring clients are proxied server-side instead.
-	MsgRedirect
+	// double-applied across the move.
+	MsgRedirect MsgType = 16
 	// MsgBusy answers a submission the server declines to ingest right now
 	// under overload: the payload (BusyPayload) carries a retry-after hint
 	// and the shed/limit reason. The frame was NOT applied — the client
@@ -101,43 +89,12 @@ const (
 	// that has not been acknowledged yet. Busy replies are emitted by the
 	// per-connection worker in the reply slot the frame's ack would have
 	// occupied, so pipelined clients keep matching acks to frames by order.
-	// Sent only to clients that negotiated FeatureBusy; pre-PR9 clients are
-	// throttled transparently by deferred reads and in-handler pacing
-	// instead.
-	MsgBusy
+	MsgBusy MsgType = 17
 )
 
-// FeatureColumnarBatch names the columnar-batch submission feature in
-// hello negotiation.
-const FeatureColumnarBatch = "columnar-batch"
-
-// FeatureCoalesce names the mega-frame (MsgCoalesced) feature in hello
-// negotiation. Granting it also grants the hello's frame-size raise.
-const FeatureCoalesce = "coalesced-frames"
-
-// FeatureSlabFlate names the compressed columnar submission
-// (MsgSubmitBatchCompressed) feature in hello negotiation.
-const FeatureSlabFlate = "slab-flate"
-
-// FeatureRouting names the consistent-hash routing feature in hello
-// negotiation: a server that grants it advertises its placement map in
-// the hello ack and answers misdirected submissions with MsgRedirect
-// instead of proxying them. Only granted by servers that actually hold a
-// placement (a single unsharded hive stays silent, and clients route
-// everything to it).
-const FeatureRouting = "ring-routing"
-
-// FeatureBusy names the explicit-backpressure feature in hello
-// negotiation: a server that grants it may answer any submission with
-// MsgBusy (a retry-after hint) instead of an ack when admission control
-// or hive load shedding declines the batch. Clients that did not offer
-// it never see MsgBusy — the server throttles them by deferred reads and
-// in-handler pacing instead, so pre-PR9 fleets degrade transparently.
-const FeatureBusy = "busy-retry"
-
 // MaxFrameSize bounds a frame; larger frames are rejected as hostile.
-// Connections that negotiated a larger limit via the hello exchange accept
-// frames up to the granted size (at most MaxCoalescedFrameSize) instead.
+// Connections whose hello was granted a larger limit accept frames up to
+// the granted size (at most MaxCoalescedFrameSize) instead.
 const MaxFrameSize = 16 << 20
 
 // MaxCoalescedFrameSize caps the frame-size raise a hello exchange may
@@ -169,7 +126,7 @@ func readFrameHeader(r io.Reader) (MsgType, int, error) {
 	return readFrameHeaderLimit(r, MaxFrameSize)
 }
 
-// readFrameHeaderLimit is readFrameHeader under a negotiated frame-size
+// readFrameHeaderLimit is readFrameHeader under a granted frame-size
 // limit.
 func readFrameHeaderLimit(r io.Reader, limit int) (MsgType, int, error) {
 	var hdr [5]byte
@@ -198,32 +155,19 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 
 // --- control-message payloads (JSON) ---
 
-// AckPayload acknowledges a submission.
-type AckPayload struct {
-	Accepted int    `json:"accepted"`
-	Error    string `json:"error,omitempty"`
-	// Dup reports that a sequenced frame was already applied (exactly-once
-	// resubmission): the batch counts as accepted but was not re-ingested.
-	Dup bool `json:"dup,omitempty"`
-}
-
-// HelloPayload lists the features a client offers. MaxFrame, when
-// positive, asks the server to raise the connection's frame-size limit
-// (a client offering FeatureCoalesce asks for room for mega-frames); old
-// servers ignore the unknown field, so the request degrades silently.
+// HelloPayload opens a connection. MaxFrame, when positive, asks the
+// server to raise the connection's frame-size limit (room for mega-frames).
 type HelloPayload struct {
-	Features []string `json:"features"`
-	MaxFrame int      `json:"maxFrame,omitempty"`
+	MaxFrame int `json:"maxFrame,omitempty"`
 }
 
-// HelloAckPayload lists the features the server accepted. MaxFrame, when
-// positive, is the frame-size limit the server granted for the rest of the
-// connection — min(requested, server cap), never below MaxFrameSize; zero
-// (an old server, or no raise requested) means the default limit stands.
-// Placement, set iff FeatureRouting was granted, is the server's current
-// placement map; pre-ring clients ignore the unknown field.
-type HelloAckPayload struct {
-	Features  []string          `json:"features"`
+// HelloReplyPayload answers a hello. MaxFrame, when positive, is the
+// frame-size limit the server granted for the rest of the connection —
+// min(requested, server cap), never below MaxFrameSize; zero (no raise
+// requested) means the default limit stands. Placement is the server's
+// current placement map, set only by a server that is a ring member (an
+// unsharded hive stays silent and clients route everything to it).
+type HelloReplyPayload struct {
 	MaxFrame  int               `json:"maxFrame,omitempty"`
 	Placement *PlacementPayload `json:"placement,omitempty"`
 }
@@ -317,41 +261,6 @@ type ErrorPayload struct {
 	Error string `json:"error"`
 }
 
-// encodeTraceBatch packs traces: uvarint count, then length-prefixed
-// binary-encoded traces.
-func encodeTraceBatch(encoded [][]byte) []byte {
-	size := binary.MaxVarintLen64
-	for _, e := range encoded {
-		size += binary.MaxVarintLen64 + len(e)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(encoded)))
-	for _, e := range encoded {
-		buf = binary.AppendUvarint(buf, uint64(len(e)))
-		buf = append(buf, e...)
-	}
-	return buf
-}
-
-// encodeTraceBatchFor packs a per-program batch: uvarint programID length,
-// programID bytes, then the standard trace batch encoding.
-func encodeTraceBatchFor(programID string, encoded [][]byte) []byte {
-	batch := encodeTraceBatch(encoded)
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(programID)+len(batch))
-	buf = binary.AppendUvarint(buf, uint64(len(programID)))
-	buf = append(buf, programID...)
-	return append(buf, batch...)
-}
-
-// encodeTraceBatchSeq packs a sequenced per-program batch: uvarint session
-// length, session bytes, uvarint seq, then the per-program batch encoding.
-func encodeTraceBatchSeq(session string, seq uint64, programID string, encoded [][]byte) []byte {
-	rest := encodeTraceBatchFor(programID, encoded)
-	buf := make([]byte, 0, binary.MaxVarintLen64*2+len(session)+len(rest))
-	buf = appendSeqPrefix(buf, session, seq)
-	return append(buf, rest...)
-}
-
 // encodeAckBin packs a binary ack.
 func encodeAckBin(accepted int, dup bool, errMsg string) []byte {
 	buf := make([]byte, 0, binary.MaxVarintLen64+1+len(errMsg))
@@ -374,7 +283,7 @@ func decodeAckBin(buf []byte) (accepted int, dup bool, errMsg string, err error)
 }
 
 // appendSeqPrefix writes the (session, seq) exactly-once tag that both
-// sequenced frame flavors share.
+// submission frame flavors share.
 func appendSeqPrefix(buf []byte, session string, seq uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(session)))
 	buf = append(buf, session...)
@@ -394,52 +303,4 @@ func decodeSeqPrefix(buf []byte) (session string, seq uint64, rest []byte, err e
 		return "", 0, nil, fmt.Errorf("%w: sequence number", ErrFrame)
 	}
 	return session, seq, buf[sz:], nil
-}
-
-// decodeTraceBatchSeq unpacks a sequenced per-program batch.
-func decodeTraceBatchSeq(buf []byte) (session string, seq uint64, programID string, raws [][]byte, err error) {
-	session, seq, rest, err := decodeSeqPrefix(buf)
-	if err != nil {
-		return "", 0, "", nil, err
-	}
-	programID, raws, err = decodeTraceBatchFor(rest)
-	return session, seq, programID, raws, err
-}
-
-// decodeTraceBatchFor unpacks a per-program batch into the program ID and
-// raw per-trace bytes.
-func decodeTraceBatchFor(buf []byte) (string, [][]byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf[sz:])) {
-		return "", nil, fmt.Errorf("%w: program id", ErrFrame)
-	}
-	programID := string(buf[sz : sz+int(n)])
-	raws, err := decodeTraceBatch(buf[sz+int(n):])
-	if err != nil {
-		return "", nil, err
-	}
-	return programID, raws, nil
-}
-
-// decodeTraceBatch unpacks a trace batch into raw per-trace bytes.
-func decodeTraceBatch(buf []byte) ([][]byte, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: batch count", ErrFrame)
-	}
-	buf = buf[n:]
-	if count > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: implausible batch count %d", ErrFrame, count)
-	}
-	out := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		size, n := binary.Uvarint(buf)
-		if n <= 0 || size > uint64(len(buf[n:])) {
-			return nil, fmt.Errorf("%w: trace %d size", ErrFrame, i)
-		}
-		buf = buf[n:]
-		out = append(out, buf[:size])
-		buf = buf[size:]
-	}
-	return out, nil
 }

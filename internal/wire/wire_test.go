@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -16,15 +17,124 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgAck, []byte(`{"accepted":3}`)); err != nil {
+	if err := WriteFrame(&buf, MsgError, []byte(`{"error":"x"}`)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgAck || string(payload) != `{"accepted":3}` {
+	if typ != MsgError || string(payload) != `{"error":"x"}` {
 		t.Fatalf("got %v %q", typ, payload)
+	}
+}
+
+// TestMsgTypeNumbering pins the wire numbering: message types are wire
+// format, so a renumbering would silently break every deployed peer.
+func TestMsgTypeNumbering(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		got  MsgType
+		want uint8
+	}{
+		{"MsgGetFixes", MsgGetFixes, 3},
+		{"MsgFixes", MsgFixes, 4},
+		{"MsgGetGuidance", MsgGetGuidance, 5},
+		{"MsgGuidance", MsgGuidance, 6},
+		{"MsgError", MsgError, 7},
+		{"MsgHello", MsgHello, 10},
+		{"MsgHelloAck", MsgHelloAck, 11},
+		{"MsgAckBin", MsgAckBin, 12},
+		{"MsgSubmitBatchColumnar", MsgSubmitBatchColumnar, 13},
+		{"MsgCoalesced", MsgCoalesced, 14},
+		{"MsgSubmitBatchCompressed", MsgSubmitBatchCompressed, 15},
+		{"MsgRedirect", MsgRedirect, 16},
+		{"MsgBusy", MsgBusy, 17},
+	} {
+		if uint8(c.got) != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestRetiredMsgTypesRejected: the retired submission frames (1, 8, 9)
+// and the retired JSON ack (2) are unknown message types now, refused
+// with MsgError and never applied — even after hello.
+func TestRetiredMsgTypesRejected(t *testing.T) {
+	p := buildCrashy(t)
+	h, addr, stop := startServer(t)
+	defer stop()
+	if err := h.RegisterProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	client := Dial(addr)
+	defer client.Close()
+	if err := client.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mt := range []MsgType{1, 2, 8, 9} {
+		respType, resp, err := client.call(mt, []byte{1, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if respType != MsgError || !strings.Contains(string(resp), "unknown message type") {
+			t.Fatalf("type %d answered %d %q, want MsgError unknown message type", mt, respType, resp)
+		}
+	}
+	if st, _ := h.ProgramStats(p.ID); st.Ingested != 0 {
+		t.Fatalf("retired frames applied %d traces", st.Ingested)
+	}
+}
+
+// TestSubmissionBeforeHelloRefused: a connection that has not said hello
+// gets an error ack for a submission, and the batch is not applied; the
+// same frame after hello is.
+func TestSubmissionBeforeHelloRefused(t *testing.T) {
+	p := buildCrashy(t)
+	h, addr, stop := startServer(t)
+	defer stop()
+	if err := h.RegisterProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	tr := captureWireTrace(t, p, "pod", []int64{5})
+	batch, err := trace.EncodeBatch(p.ID, []*trace.Trace{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append(appendSeqPrefix(nil, "raw-session", 1), batch...)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(mt MsgType, body []byte) (MsgType, []byte) {
+		t.Helper()
+		if err := WriteFrame(conn, mt, body); err != nil {
+			t.Fatal(err)
+		}
+		respType, resp, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return respType, resp
+	}
+	respType, resp := exchange(MsgSubmitBatchColumnar, payload)
+	if err := checkAck(respType, resp, 1); err == nil || !strings.Contains(err.Error(), "before hello") {
+		t.Fatalf("pre-hello submission answered %v, want an error ack", err)
+	}
+	if st, _ := h.ProgramStats(p.ID); st.Ingested != 0 {
+		t.Fatalf("pre-hello submission applied %d traces", st.Ingested)
+	}
+	if respType, _ := exchange(MsgHello, []byte(`{}`)); respType != MsgHelloAck {
+		t.Fatalf("hello answered %d", respType)
+	}
+	respType, resp = exchange(MsgSubmitBatchColumnar, payload)
+	if err := checkAck(respType, resp, 1); err != nil {
+		t.Fatalf("post-hello submission: %v", err)
+	}
+	if st, _ := h.ProgramStats(p.ID); st.Ingested != 1 {
+		t.Fatalf("post-hello submission ingested %d traces, want 1", st.Ingested)
 	}
 }
 
@@ -36,24 +146,36 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestTraceBatchRoundTrip: a submission payload is the (session, seq) tag
+// followed by the batch bytes, and the binary ack carries count, dup flag
+// and error.
 func TestTraceBatchRoundTrip(t *testing.T) {
-	batch := [][]byte{[]byte("aaa"), []byte(""), []byte("cc")}
-	enc := encodeTraceBatch(batch)
-	got, err := decodeTraceBatch(enc)
+	payload := append(appendSeqPrefix(nil, "sess", 42), "batch"...)
+	session, seq, rest, err := decodeSeqPrefix(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || string(got[0]) != "aaa" || len(got[1]) != 0 || string(got[2]) != "cc" {
-		t.Fatalf("got %q", got)
+	if session != "sess" || seq != 42 || string(rest) != "batch" {
+		t.Fatalf("got %q %d %q", session, seq, rest)
+	}
+	accepted, dup, msg, err := decodeAckBin(encodeAckBin(7, true, "boom"))
+	if err != nil || accepted != 7 || !dup || msg != "boom" {
+		t.Fatalf("ack round trip = %d %v %q %v", accepted, dup, msg, err)
 	}
 }
 
 func TestTraceBatchRejectsGarbage(t *testing.T) {
-	if _, err := decodeTraceBatch([]byte{0xFF}); err == nil {
-		t.Error("truncated varint accepted")
+	if _, _, _, err := decodeSeqPrefix([]byte{0xFF}); err == nil {
+		t.Error("truncated session varint accepted")
 	}
-	if _, err := decodeTraceBatch([]byte{200, 1, 2}); err == nil {
-		t.Error("implausible count accepted")
+	if _, _, _, err := decodeSeqPrefix([]byte{200, 1, 2}); err == nil {
+		t.Error("implausible session length accepted")
+	}
+	if _, _, _, err := decodeSeqPrefix([]byte{1, 'a'}); err == nil {
+		t.Error("missing sequence number accepted")
+	}
+	if _, _, _, err := decodeAckBin([]byte{0xFF}); err == nil {
+		t.Error("truncated ack accepted")
 	}
 }
 
@@ -214,7 +336,7 @@ func TestClientReconnects(t *testing.T) {
 	client := Dial(addr)
 	defer client.Close()
 
-	if err := client.SubmitTraces(nil); err != nil {
+	if err := client.SubmitTraces([]*trace.Trace{captureWireTrace(t, p, "pod", []int64{1})}); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the server; a new one on the same address picks up.
@@ -226,8 +348,14 @@ func TestClientReconnects(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	if err := client.SubmitTraces(nil); err != nil {
+	if err := client.SubmitTraces([]*trace.Trace{captureWireTrace(t, p, "pod", []int64{2})}); err != nil {
 		t.Fatalf("client did not reconnect: %v", err)
+	}
+	if st, _ := h.ProgramStats(p.ID); st.Ingested != 2 {
+		t.Fatalf("ingested = %d, want 2", st.Ingested)
+	}
+	if n := client.HelloCount(); n != 2 {
+		t.Fatalf("hello exchanges = %d, want one per connection (2)", n)
 	}
 }
 

@@ -6,7 +6,7 @@ package softborg
 // a cold standby rebuilds the dead hive's programs from the archive alone
 // and re-homes them onto the survivors. Required outcome: zero acked-trace
 // loss, zero double-apply, and exactly-once preserved across a session
-// population larger than the live dedup cache (>4096 sessions).
+// population of more than 4096 sessions.
 
 import (
 	"fmt"
@@ -126,8 +126,8 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 		sealedBy[p.ID] = sealed
 	}
 
-	// Phase 2: flood the victim-owned program with more distinct sessions
-	// than the live dedup cache holds — the unbounded-dedup half of E18.
+	// Phase 2: flood the victim-owned program with more than 4096 distinct
+	// sessions — the unbounded-dedup half of E18.
 	// One shared trace; dedup is keyed by (session, seq), not content.
 	victim := byAddr(m1.Owner(corpus[0].ID))
 	coldProg := corpus[0]

@@ -370,8 +370,8 @@ func run(args []string) error {
 				fmt.Printf("program %d: ingested=%d paths=%d fixes=%d failures=%d repair-lab=%d\n",
 					i, st.Ingested, st.Tree.Paths, st.FixCount, len(st.Failures), st.RepairLab)
 			}
-			live, frozen := h.SessionCount()
-			fmt.Printf("sessions: live=%d frozen=%d displaced=%d\n", live, frozen, h.SessionEvictions())
+			sessions, _ := h.SessionCount()
+			fmt.Printf("sessions: %d\n", sessions)
 			if ro := h.ReadOnlyPrograms(); ro > 0 {
 				fmt.Printf("READ-ONLY: %d program(s) refusing ingest after journal write failures\n", ro)
 			}

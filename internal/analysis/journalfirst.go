@@ -25,9 +25,9 @@ var journalGuards = []journalGuard{
 	// Fix synthesis journals its own outcome op; it may only be elected
 	// from within an applied batch, never ad hoc.
 	{callee: "synthesizeFix", callers: set("applyBatchView")},
-	// The dedup window must only advance for journaled (or replayed)
-	// frames; marking a session outside those paths would let a crash
-	// acknowledge-and-forget a frame.
+	// A program's dedup window must only advance for journaled (or
+	// replayed) frames; marking a session outside those paths would let a
+	// crash acknowledge-and-forget a frame.
 	{callee: "markSession", callers: set("ingestView", "applyOp", "mergeSessions")},
 	// PR 10: the read-only breaker's failure accounting wraps every live
 	// batch append. Appending to the journal around the wrapper would let
@@ -36,9 +36,12 @@ var journalGuards = []journalGuard{
 	// The breaker may only close once a checkpoint has landed durably —
 	// closing it anywhere else would ack ingest into an unproven journal.
 	{callee: "closeReadOnly", callers: set("CheckpointProgram")},
-	// The frozen session tier is only consulted under sessMu during the
-	// live/frozen merge; direct access would race the displacement path.
-	{callee: "entryLocked", callers: set("mergeSessions")},
+	// A session enters a program's dedup table only through the ingest
+	// path's entry lookup (sessionFor), a journaled or replayed mark
+	// (markSession), or the restore merge (mergeSessions) — each holding the
+	// program's sessMu. Any other insert would put a window in the snapshot
+	// that no journaled frame accounts for, or race those three.
+	{callee: "entryLocked", callers: set("sessionFor", "markSession", "mergeSessions")},
 }
 
 func set(names ...string) map[string]bool {
@@ -56,7 +59,8 @@ var JournalFirst = &Analyzer{
 	Doc: "in internal/hive, live-mutation helpers (applyBatchView, " +
 		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly, " +
 		"entryLocked) are reachable only from the journaled wrapper " +
-		"(ingestView), recovery replay (applyOp/mergeSessions), or the " +
+		"(ingestView), recovery replay (applyOp/mergeSessions), the " +
+		"session table's own lookup (sessionFor, for entryLocked), or the " +
 		"checkpoint path (CheckpointProgram); calling them from handlers " +
 		"would apply state a crash forgets or bypass the read-only breaker",
 	Run: runJournalFirst,

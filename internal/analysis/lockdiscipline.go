@@ -17,11 +17,11 @@ import (
 //     the hive's
 //     documented order is session-entry lock ≺ checkpoint gate ≺ program
 //     mu ≺ input stripes (kgMu/coordMu); the registry lock (Hive.mu) and
-//     the session-table lock (Hive.sessMu) are leaves never held across
-//     another acquisition. The wire layer's routing locks rank BELOW all
-//     of the hive's: router placement (Router.mu) ≺ server placement
-//     (Server.placeMu) ≺ client connection (Client.mu) — a server
-//     dispatching into the hive may hold a wire lock across hive
+//     the per-program session-table lock (programState.sessMu) are leaves
+//     never held across another acquisition. The wire layer's routing
+//     locks rank BELOW all of the hive's: router placement (Router.mu) ≺
+//     server placement (Server.placeMu) ≺ client connection (Client.mu) —
+//     a server dispatching into the hive may hold a wire lock across hive
 //     acquisitions, never the reverse. The admission layer's locks
 //     (admissionState.mu for the token-bucket table, connState.qMu for
 //     queued-byte accounting) are leaves like Hive.mu, and so is the
@@ -38,8 +38,9 @@ var LockDiscipline = &Analyzer{
 		"lexically later return, and internal/hive + internal/wire + " +
 		"internal/archive lock classes must be acquired in documented order " +
 		"(Router.mu ≺ Server.placeMu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ " +
-		"stripes; Hive.mu/sessMu, the admission locks admissionState.mu/" +
-		"connState.qMu, and the archiver sync lock Archiver.mu are leaves)",
+		"stripes; Hive.mu, programState.sessMu, the admission locks " +
+		"admissionState.mu/connState.qMu, and the archiver sync lock " +
+		"Archiver.mu are leaves)",
 	Run: runLockDiscipline,
 }
 
@@ -61,8 +62,10 @@ var lockRank = map[string]int{
 	"programState.kgMu":    40,
 	"programState.coordMu": 40,
 	// Leaf locks: never legal to hold across another ranked acquisition.
-	"Hive.mu":     50,
-	"Hive.sessMu": 50,
+	// A program's session table (sessMu) is taken alone, inside ckpt and a
+	// sessionEntry.mu, and released before anything else is acquired.
+	"Hive.mu":             50,
+	"programState.sessMu": 50,
 	// PR 9 admission tier: the token-bucket table lock and the
 	// per-connection queued-bytes accounting lock are leaves too — debit
 	// and byte accounting never call back into any other ranked class.

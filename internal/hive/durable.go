@@ -188,7 +188,7 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 			return err
 		}
 	}
-	h.mergeSessions(snap.Sessions, snap.SessionsAhead)
+	st.mergeSessions(snap.Sessions, snap.SessionsAhead)
 	return nil
 }
 
@@ -207,7 +207,7 @@ func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 		h.applyBatchView(st, view, false)
 		view.Release()
 		if op.Session != "" {
-			h.markSession(op.Session, op.Seq)
+			st.markSession(op.Session, op.Seq)
 		}
 	case journal.OpSynthesis:
 		if len(op.Fix) == 0 {
@@ -247,9 +247,9 @@ func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 
 // Checkpoint writes a fresh snapshot for every program and rotates its
 // journal. Each program is checkpointed independently under its checkpoint
-// gate: ingestion for other programs keeps flowing, and cross-program
-// session marks stay consistent because the dedup table is max-merged from
-// every snapshot at recovery.
+// gate, so ingestion for other programs keeps flowing: every piece of
+// durable state, the session dedup table included, belongs to exactly one
+// program.
 func (h *Hive) Checkpoint() error {
 	if h.journal == nil {
 		return errors.New("hive: checkpoint without an attached journal")
@@ -286,9 +286,8 @@ func (h *Hive) CheckpointProgram(programID string) error {
 	// journal ops to retire — a checkpoint would write an empty segment
 	// (or, on a compaction tick, re-encode an unchanged tree) for zero
 	// replay-debt reduction. Skipping never loses data: the journal, if it
-	// somehow had ops, stays in place. Session marks that advanced via
-	// other programs' traffic are carried by those programs' segments and
-	// ops (recovery max-merges all of them).
+	// somehow had ops, stays in place, and every session mark the program
+	// holds arrived with one of its own journaled batches.
 	if st.hasBase && st.tree.DirtyNodes() == 0 &&
 		h.journal.AppendsSinceCheckpoint(programID) == 0 {
 		return nil
@@ -341,10 +340,10 @@ func (h *Hive) closeReadOnly(st *programState) {
 
 // snapshotProgramMeta serializes everything in one program's durable state
 // except the tree — fixes, proofs, failure aggregation, counters,
-// known-good inputs, the coordinated buffer, and the session table. Both
-// full snapshots and delta segments carry this in full; only the tree
-// differs. The caller holds the checkpoint gate exclusively, so no
-// journaled mutation is in flight.
+// known-good inputs, the coordinated buffer, and the program's session
+// dedup table. Both full snapshots and delta segments carry this in full;
+// only the tree differs. The caller holds the checkpoint gate exclusively,
+// so no journaled mutation is in flight.
 func (h *Hive) snapshotProgramMeta(st *programState) (*journal.ProgramSnapshot, error) {
 	snap := &journal.ProgramSnapshot{
 		ProgramID:     st.prog.ID,
@@ -398,6 +397,6 @@ func (h *Hive) snapshotProgramMeta(st *programState) (*journal.ProgramSnapshot, 
 		snap.Proofs = append(snap.Proofs, raw)
 	}
 	snap.Failures = st.failures.export()
-	snap.Sessions, snap.SessionsAhead = h.sessionSnapshot()
+	snap.Sessions, snap.SessionsAhead = st.sessionSnapshot()
 	return snap, nil
 }

@@ -121,12 +121,10 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	}
 }
 
-// TestUnboundedSessionDedupDurable pushes the session table well past the
-// live-cache bound with journaled ingest and proves the PR 10 contract at
-// scale: every one of the >maxSessions sessions dup-acks on resubmission —
-// before and after a kill-restart — and the ingest count never moves on a
-// duplicate. The dedup window is unbounded; the cache bound is a memory
-// layout, not a correctness boundary.
+// TestUnboundedSessionDedupDurable pushes one program's session table past
+// 4096 sessions with journaled ingest and proves the dedup window is
+// unbounded at scale: every session dup-acks on resubmission — before and
+// after a kill-restart — and the ingest count never moves on a duplicate.
 func TestUnboundedSessionDedupDurable(t *testing.T) {
 	corpus := durableCorpus(t)
 	p := corpus[1] // the clean program: cheap, deterministic applies
@@ -135,15 +133,12 @@ func TestUnboundedSessionDedupDurable(t *testing.T) {
 	h.Logf = func(string, ...any) {}
 	batch := []*trace.Trace{captureSeqTrace(t, p, "pod-many", 1, []int64{7}, trace.PrivacyHashed)}
 
-	total := maxSessions + 64
+	const total = 4096 + 64
 	for i := 0; i < total; i++ {
 		dup, err := h.SubmitTracesSession(fmt.Sprintf("s-%d", i), 1, p.ID, batch)
 		if err != nil || dup {
 			t.Fatalf("session %d: dup=%v err=%v", i, dup, err)
 		}
-	}
-	if live, frozen := h.SessionCount(); live != maxSessions || frozen != total-maxSessions {
-		t.Fatalf("tier sizes live=%d frozen=%d, want %d/%d", live, frozen, maxSessions, total-maxSessions)
 	}
 	before, err := h.ProgramStats(p.ID)
 	if err != nil {

@@ -70,10 +70,10 @@ type FailureRecord struct {
 // lock shard: mu guards the fix/proof/epoch state below, while prog, sym,
 // and gen are immutable after registration (gen and tree synchronize
 // internally). State that raw-privacy-heavy fleets hammer — known-good
-// inputs, the coordinated-fragment buffer, and the ingest counters — is
-// striped out from under the shard lock onto its own synchronization
-// (kgMu, coordMu, atomics), so a hot program's benign traffic never
-// serializes behind fix bookkeeping.
+// inputs, the coordinated-fragment buffer, the session dedup table, and the
+// ingest counters — is striped out from under the shard lock onto its own
+// synchronization (kgMu, coordMu, sessMu, atomics), so a hot program's
+// benign traffic never serializes behind fix bookkeeping.
 type programState struct {
 	mu sync.Mutex
 
@@ -136,47 +136,45 @@ type programState struct {
 	// coordMu.
 	coordMu     sync.Mutex
 	coordinated map[string][]*trace.Trace
+
+	// sessions is the program's exactly-once dedup table for wire
+	// resubmission: session ID -> exact applied-seq window for the frames
+	// that session sent about this program. It is journaled and
+	// snapshotted with the program, moves with ExportProgram, and is freed
+	// by DropProgram. Guarded by sessMu.
+	sessMu   sync.Mutex
+	sessions map[string]*sessionEntry
 }
 
 // maxCoordinatedFamilies bounds the fragment buffer per program.
 const maxCoordinatedFamilies = 4096
 
-// maxSessions bounds the *live cache* of the exactly-once dedup table, not
-// the table itself: past the bound, least-recently-used sessions are frozen
-// into the unbounded overflow tier with their windows intact and thaw back
-// on their next frame. Cache displacement never loses dedup state — the
-// window is exactly-once for arbitrarily many sessions (it is checkpointed
-// and archived with program state), the bound only caps LRU bookkeeping.
-const maxSessions = 4096
-
 // maxSessionAhead bounds one session's out-of-order applied set. If a
 // permanently abandoned gap lets the set grow past the bound, the base
 // slides up to the oldest retained mark — seqs under the slide degrade to
-// at-most-once on resubmission, the same bounded-memory tradeoff as LRU
-// session eviction.
+// at-most-once on resubmission, a bounded-memory tradeoff.
 const maxSessionAhead = 4096
 
-// sessionEntry is one client session's dedup state: an exact window of
-// applied frame sequence numbers — every seq at or below base is applied,
-// plus the out-of-order applied marks above it — and a logical-clock touch
-// for LRU eviction. Tracking the exact set (rather than a high-water mark)
-// makes deduplication independent of arrival order: frames may be
-// delivered, rejected, parked across drains, and resubmitted in any
-// interleaving, and a seq is re-applied iff it was never applied.
+// sessionEntry is one client session's dedup state for one program: an
+// exact window of applied frame sequence numbers — every seq at or below
+// base is applied, plus the out-of-order applied marks above it. Tracking
+// the exact set (rather than a high-water mark) makes deduplication
+// independent of arrival order: frames may be delivered, rejected, parked
+// across drains, and resubmitted in any interleaving, and a seq is
+// re-applied iff it was never applied.
 type sessionEntry struct {
 	// mu serializes the dedup-check + journaled-apply of one session's
-	// frames. Without it, a frame resent on a new connection while the old
-	// connection's worker is still draining its queue could race the
-	// original past the applied check and double-ingest. The serialization
-	// is sound because a session maps to ONE entry object for the hive's
-	// lifetime: freezing moves the object between tiers, never replaces it,
-	// so every submitter for a session contends on the same mutex.
+	// frames for the program. Without it, a frame resent on a new
+	// connection while the old connection's worker is still draining its
+	// queue could race the original past the applied check and
+	// double-ingest. The serialization is sound because a session maps to
+	// ONE entry object for the program's lifetime, so every submitter for
+	// a session contends on the same mutex.
 	mu sync.Mutex
 
-	// base, ahead, and touched are guarded by the hive's sessMu.
-	base    uint64
-	ahead   map[uint64]struct{}
-	touched uint64
+	// base and ahead are guarded by the program's sessMu.
+	base  uint64
+	ahead map[uint64]struct{}
 }
 
 // Hive is the aggregation and analysis center. All methods are safe for
@@ -198,23 +196,6 @@ type Hive struct {
 	// never sees inconsistently typed values.
 	durabilityErr atomic.Pointer[error]
 
-	// sessions is the live cache of the exactly-once dedup table for wire
-	// resubmission (session ID -> exact applied-seq window), LRU-bounded to
-	// maxSessions; frozen is the unbounded overflow tier that displaced
-	// entries move to with their windows intact. A session's entry object
-	// migrates between the two maps but is never dropped or replaced, so
-	// dedup stays exactly-once no matter how many sessions the fleet has
-	// seen. Both maps are guarded by sessMu.
-	sessMu    sync.Mutex
-	sessions  map[string]*sessionEntry
-	frozen    map[string]*sessionEntry
-	sessClock uint64
-	// sessEvictions counts live-cache displacements into the frozen tier.
-	// Purely a cache statistic (surfaced via SessionEvictions and the
-	// cmd/hive stats line): a displaced session keeps its full dedup
-	// window and thaws on its next frame — no correctness loss.
-	sessEvictions atomic.Int64
-
 	// shedPolicy, pressure, and shed make up the rarity-priced load shedder
 	// (shed.go): when the injected pressure gauge passes the policy's
 	// watermark, sessioned batches are priced against the exec tree before
@@ -224,7 +205,7 @@ type Hive struct {
 	pressure   atomic.Pointer[func() float64]
 	shed       shedCounters
 
-	// Logf receives operational warnings (first session eviction); nil is
+	// Logf receives operational warnings (read-only breaker flips); nil is
 	// silent. Set before serving traffic.
 	Logf func(format string, args ...any)
 }
@@ -239,8 +220,6 @@ func New(salt string) *Hive {
 	return &Hive{
 		programs:     make(map[string]*programState),
 		salt:         salt,
-		sessions:     make(map[string]*sessionEntry),
-		frozen:       make(map[string]*sessionEntry),
 		compactEvery: defaultCompactEvery,
 	}
 }
@@ -262,9 +241,10 @@ func (h *Hive) RegisterProgram(p *prog.Program) error {
 		return nil
 	}
 	st := &programState{
-		prog:   p,
-		tree:   exectree.New(p.ID),
-		proofs: make(map[proof.Property]*proof.Proof),
+		prog:     p,
+		tree:     exectree.New(p.ID),
+		proofs:   make(map[proof.Property]*proof.Proof),
+		sessions: make(map[string]*sessionEntry),
 	}
 	if p.NumThreads() == 1 {
 		sym, err := symbolic.New(p, symbolic.Config{})
@@ -391,9 +371,11 @@ func (h *Hive) submitEncoded(session string, seq uint64, programID string, trace
 // (journal.OpBatchColumnar), so a batch is serialized exactly once in its
 // lifetime: on the pod.
 //
-// With a session, submission is deduplicated by (session, seq): the dedup
-// window is the exact set of applied sequence numbers (a contiguous base
-// plus out-of-order marks), so arrival order does not matter — a frame is
+// With a session, submission is deduplicated by (session, seq) within the
+// batch's program — each program keeps its own table, so the same tag about
+// another program is a different frame. The dedup window is the exact set
+// of applied sequence numbers (a contiguous base plus out-of-order marks),
+// so arrival order does not matter — a frame is
 // re-applied iff it was never applied, possibly by journal replay after a
 // crash, since the op carrying (session, seq) is journaled ahead of the
 // apply — and is otherwise acknowledged as a duplicate (dup=true) without
@@ -415,10 +397,10 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 	// One session's frames serialize across connections: the dedup check
 	// and the journaled apply must be atomic per session, or a duplicate in
 	// flight on two connections would pass the check twice.
-	e := h.sessionFor(session)
+	e := st.sessionFor(session)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if h.sessionApplied(e, seq) {
+	if st.sessionApplied(e, seq) {
 		return true, nil
 	}
 	// Shed decisions land after the dedup check and before the journal: a
@@ -453,7 +435,7 @@ func (h *Hive) ingestView(st *programState, v *trace.BatchView, session string, 
 	}
 	h.applyBatchView(st, v, true)
 	if session != "" {
-		h.markSession(session, seq)
+		st.markSession(session, seq)
 	}
 	return nil
 }
@@ -773,67 +755,52 @@ func (h *Hive) DurabilityError() error {
 	return nil
 }
 
-// sessionFor returns a session's dedup entry, touching it for LRU: a hit in
-// the live cache, a thaw from the frozen tier, or a fresh entry for a
-// never-seen session. Past the live-cache bound the least-recently-used
-// entry is frozen — moved, window intact, into the unbounded overflow tier —
-// so displacement is a cache event, not a correctness event.
-func (h *Hive) sessionFor(session string) *sessionEntry {
-	h.sessMu.Lock()
-	frozeOne := false
-	h.sessClock++
-	e, ok := h.sessions[session]
+// sessionFor returns a session's dedup entry for the program, creating an
+// empty window for a never-seen session.
+func (st *programState) sessionFor(session string) *sessionEntry {
+	st.sessMu.Lock()
+	defer st.sessMu.Unlock()
+	return st.entryLocked(session)
+}
+
+// entryLocked finds a session's entry, creating it when the session is new.
+// Callers hold sessMu.
+func (st *programState) entryLocked(session string) *sessionEntry {
+	e, ok := st.sessions[session]
 	if !ok {
-		if e, ok = h.frozen[session]; ok {
-			delete(h.frozen, session) // thaw: same object, window intact
-		} else {
-			e = &sessionEntry{}
-		}
-		if len(h.sessions) >= maxSessions {
-			var victim string
-			oldest := uint64(math.MaxUint64)
-			for id, se := range h.sessions {
-				if se.touched < oldest {
-					oldest, victim = se.touched, id
-				}
-			}
-			h.frozen[victim] = h.sessions[victim]
-			delete(h.sessions, victim)
-			frozeOne = true
-		}
-		h.sessions[session] = e
-	}
-	e.touched = h.sessClock
-	h.sessMu.Unlock()
-	if frozeOne {
-		// Count (and note once) outside sessMu: Logf is user code.
-		if h.sessEvictions.Add(1) == 1 && h.Logf != nil {
-			h.Logf("hive: session dedup live cache full (%d sessions): freezing least-recently-used sessions to the overflow tier; dedup windows are preserved and exactly-once is unaffected", maxSessions)
-		}
+		e = &sessionEntry{}
+		st.sessions[session] = e
 	}
 	return e
 }
 
-// SessionEvictions returns how many live-cache displacements the session
-// dedup table has performed: sessions frozen to the overflow tier with
-// their windows intact. High churn is a cache-sizing signal only — frozen
-// sessions thaw on their next frame and exactly-once semantics hold for
-// arbitrarily many sessions.
-func (h *Hive) SessionEvictions() int64 {
-	return h.sessEvictions.Load()
-}
-
-// SessionCount returns the dedup table's live-cache and frozen-tier sizes.
-func (h *Hive) SessionCount() (live, frozen int) {
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
-	return len(h.sessions), len(h.frozen)
+// SessionCount returns how many distinct sessions the hive's dedup tables
+// hold, over every program: a session that sent frames about several
+// programs counts once, so the figure is the number of client sessions the
+// hive has deduped, as it was when the table was hive-wide. The second
+// result is always 0. It was the size of a second table tier that no
+// longer exists, and is kept so existing callers that sum the pair (the
+// fleet benchmark among them) compile and count the same sessions.
+func (h *Hive) SessionCount() (sessions, zero int) {
+	seen := make(map[string]struct{})
+	for _, id := range h.Programs() {
+		st, err := h.state(id)
+		if err != nil {
+			continue // dropped since Programs()
+		}
+		st.sessMu.Lock()
+		for session := range st.sessions {
+			seen[session] = struct{}{}
+		}
+		st.sessMu.Unlock()
+	}
+	return len(seen), 0
 }
 
 // sessionApplied reports whether seq is in the entry's applied window.
-func (h *Hive) sessionApplied(e *sessionEntry, seq uint64) bool {
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
+func (st *programState) sessionApplied(e *sessionEntry, seq uint64) bool {
+	st.sessMu.Lock()
+	defer st.sessMu.Unlock()
 	if seq <= e.base {
 		return true
 	}
@@ -843,11 +810,10 @@ func (h *Hive) sessionApplied(e *sessionEntry, seq uint64) bool {
 
 // markSession records one applied sequence number, compacting contiguous
 // marks into the base.
-func (h *Hive) markSession(session string, seq uint64) {
-	e := h.sessionFor(session)
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
-	markAppliedLocked(e, seq)
+func (st *programState) markSession(session string, seq uint64) {
+	st.sessMu.Lock()
+	defer st.sessMu.Unlock()
+	markAppliedLocked(st.entryLocked(session), seq)
 }
 
 // markAppliedLocked inserts seq into the entry's applied window. Callers
@@ -896,90 +862,55 @@ func compactWindowLocked(e *sessionEntry) {
 	}
 }
 
-// markSessionBase raises a session's contiguous-applied floor (recovery
-// merge of a checkpointed base).
-func (h *Hive) markSessionBase(session string, base uint64) {
-	e := h.sessionFor(session)
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
-	if base <= e.base {
-		return
-	}
-	e.base = base
-	compactWindowLocked(e)
-}
-
-// sessionSnapshot copies the dedup table — both the live cache and the
-// frozen tier — for a checkpoint: the contiguous base per session, plus any
-// out-of-order applied marks above it. Because frozen sessions are included,
-// the persisted window is unbounded: a checkpoint + archive round-trip
-// preserves exactly-once for every session the hive has ever deduped.
-func (h *Hive) sessionSnapshot() (map[string]uint64, map[string][]uint64) {
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
-	if len(h.sessions) == 0 && len(h.frozen) == 0 {
+// sessionSnapshot copies the program's dedup table for a checkpoint: the
+// contiguous base per session, plus any out-of-order applied marks above
+// it. Every session the program has deduped is included, so a checkpoint +
+// archive round-trip preserves exactly-once for all of them.
+func (st *programState) sessionSnapshot() (map[string]uint64, map[string][]uint64) {
+	st.sessMu.Lock()
+	defer st.sessMu.Unlock()
+	if len(st.sessions) == 0 {
 		return nil, nil
 	}
-	bases := make(map[string]uint64, len(h.sessions)+len(h.frozen))
+	bases := make(map[string]uint64, len(st.sessions))
 	var ahead map[string][]uint64
-	snap := func(id string, e *sessionEntry) {
+	for id, e := range st.sessions {
 		bases[id] = e.base
-		if len(e.ahead) > 0 {
-			if ahead == nil {
-				ahead = make(map[string][]uint64)
-			}
-			marks := make([]uint64, 0, len(e.ahead))
-			for s := range e.ahead {
-				marks = append(marks, s)
-			}
-			sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
-			ahead[id] = marks
+		if len(e.ahead) == 0 {
+			continue
 		}
-	}
-	for id, e := range h.sessions {
-		snap(id, e)
-	}
-	for id, e := range h.frozen {
-		snap(id, e)
+		if ahead == nil {
+			ahead = make(map[string][]uint64)
+		}
+		marks := make([]uint64, 0, len(e.ahead))
+		for s := range e.ahead {
+			marks = append(marks, s)
+		}
+		sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
+		ahead[id] = marks
 	}
 	return bases, ahead
 }
 
-// mergeSessions folds recovered dedup windows into the table (union-merge:
-// applied marks only ever accumulate, so merging snapshot and replayed-op
-// views in any order converges). Recovered sessions land in the frozen
-// tier rather than churning the live cache — a fleet-scale recovery merges
-// far more sessions than the cache holds, and each thaws on first use.
-func (h *Hive) mergeSessions(bases map[string]uint64, ahead map[string][]uint64) {
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
+// mergeSessions folds recovered dedup windows into the program's table
+// (union-merge: applied marks only ever accumulate, so merging snapshot and
+// replayed-op views in any order converges).
+func (st *programState) mergeSessions(bases map[string]uint64, ahead map[string][]uint64) {
+	st.sessMu.Lock()
+	defer st.sessMu.Unlock()
 	for id, base := range bases {
-		e := h.entryLocked(id)
+		e := st.entryLocked(id)
 		if base > e.base {
 			e.base = base
 			compactWindowLocked(e)
 		}
 	}
 	for id, marks := range ahead {
-		e := h.entryLocked(id)
+		e := st.entryLocked(id)
 		for _, seq := range marks {
 			markAppliedLocked(e, seq)
 		}
 	}
-}
-
-// entryLocked finds a session's entry in either tier without LRU-touching
-// it, creating it frozen when the session is new. Callers hold sessMu.
-func (h *Hive) entryLocked(id string) *sessionEntry {
-	if e, ok := h.sessions[id]; ok {
-		return e
-	}
-	if e, ok := h.frozen[id]; ok {
-		return e
-	}
-	e := &sessionEntry{}
-	h.frozen[id] = e
-	return e
 }
 
 // synthesizeInputGuard derives a danger-zone guard from the failing trace's

@@ -12,12 +12,14 @@ import (
 // This file is the program re-homing surface for multi-hive sharding: a
 // program's complete per-hive state (execution tree, fixes, proofs,
 // failure aggregation, counters, known-good inputs, coordinated buffer,
-// and the session dedup table) is exported as one journal.ProgramSnapshot,
-// shipped as bytes (journal.EncodeSnapshot / DecodeSnapshot), and imported
-// on another hive through the same DecodeChain restore path crash recovery
-// uses. The snapshot carries the session dedup table, so a sealed frame
-// acknowledged by the old owner is dup-acknowledged by the new one —
-// re-homing preserves exactly-once end to end.
+// and the program's session dedup table) is exported as one
+// journal.ProgramSnapshot, shipped as bytes (journal.EncodeSnapshot /
+// DecodeSnapshot), and imported on another hive through the same
+// DecodeChain restore path crash recovery uses. The snapshot carries the
+// windows of exactly the sessions that sent frames about the program, so a
+// sealed frame acknowledged by the old owner is dup-acknowledged by the
+// new one — re-homing preserves exactly-once end to end — and no other
+// program's sessions ride along.
 
 // ExportProgram captures one program's full state as a self-contained
 // snapshot, taken under the program's checkpoint gate so no journaled
@@ -80,7 +82,7 @@ func (h *Hive) ImportProgram(snap *journal.ProgramSnapshot) error {
 }
 
 // DropProgram forgets a program this hive no longer owns, freeing its
-// state. Subsequent frames for it fail with ErrUnknownProgram — the
+// state, session dedup table included. Subsequent frames for it fail with ErrUnknownProgram — the
 // routing tier answers them with a redirect before they reach the hive,
 // so the error only surfaces to peers with a placement older than the
 // move. Dropping an unknown program is a no-op.

@@ -2,7 +2,6 @@ package hive
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/journal"
@@ -10,47 +9,78 @@ import (
 	"repro/internal/trace"
 )
 
-// TestSessionEvictionCounter forces the dedup table past its live-cache
-// bound and checks the displacement counter and the note-once log: past
-// maxSessions distinct sessions, every new session freezes exactly one LRU
-// victim to the overflow tier, the first displacement (only the first)
-// notes through Logf — and, the PR 10 contract, a displaced session keeps
-// its full applied window when it thaws.
-func TestSessionEvictionCounter(t *testing.T) {
-	h := New("fleet")
-	var warnings []string
-	h.Logf = func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
+// TestSessionTablePerProgram pins that the exactly-once dedup table is
+// keyed by program: sessions that only sent frames about program A live in
+// A's snapshot alone, the same (session, seq) about program B is a new
+// frame there, dropping A forgets A's sessions, and A's export carries its
+// windows so the new owner still dup-acks A's frames.
+func TestSessionTablePerProgram(t *testing.T) {
+	corpus := durableCorpus(t)
+	a, b := corpus[0], corpus[1]
+	ha, storeA := newDurableHive(t, t.TempDir(), corpus)
+	defer storeA.Close()
+
+	const n = 16
+	batchA := []*trace.Trace{captureSeqTrace(t, a, "pod-iso", 1, []int64{5}, trace.PrivacyHashed)}
+	for i := 0; i < n; i++ {
+		if dup, err := ha.SubmitTracesSession(fmt.Sprintf("a-%d", i), 1, a.ID, batchA); err != nil || dup {
+			t.Fatalf("session a-%d: dup=%v err=%v", i, dup, err)
+		}
 	}
-	for i := 0; i < maxSessions; i++ {
-		h.markSession(fmt.Sprintf("sess-%d", i), 1)
+	snapB, err := ha.ExportProgram(b.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.SessionEvictions(); got != 0 {
-		t.Fatalf("displacements before the cache is full: %d", got)
+	if snapB.Sessions != nil || snapB.SessionsAhead != nil {
+		t.Fatalf("idle program's snapshot carries %d sessions (%d with marks ahead) of another program",
+			len(snapB.Sessions), len(snapB.SessionsAhead))
 	}
-	const extra = 5
-	for i := 0; i < extra; i++ {
-		h.markSession(fmt.Sprintf("overflow-%d", i), 1)
+	snapA, err := ha.ExportProgram(a.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.SessionEvictions(); got != extra {
-		t.Fatalf("displacements = %d, want %d", got, extra)
+	if len(snapA.Sessions) != n {
+		t.Fatalf("program A's snapshot holds %d sessions, want %d", len(snapA.Sessions), n)
 	}
-	if live, frozen := h.SessionCount(); live != maxSessions || frozen != extra {
-		t.Fatalf("tier sizes: live=%d frozen=%d, want %d/%d", live, frozen, maxSessions, extra)
+
+	// Session a-0's seq 1 was applied to A; the same tag about B is a
+	// different frame and must be applied, not dup-acked.
+	batchB := []*trace.Trace{captureSeqTrace(t, b, "pod-iso", 2, []int64{5}, trace.PrivacyHashed)}
+	if dup, err := ha.SubmitTracesSession("a-0", 1, b.ID, batchB); err != nil || dup {
+		t.Fatalf("first frame about B dup-acked by A's window: dup=%v err=%v", dup, err)
 	}
-	if len(warnings) != 1 {
-		t.Fatalf("first displacement should note exactly once, got %d notes: %v", len(warnings), warnings)
+	if got := ingested(t, ha, b.ID); got != 1 {
+		t.Fatalf("program B ingested %d traces, want 1", got)
 	}
-	if !strings.Contains(warnings[0], "exactly-once is unaffected") {
-		t.Fatalf("note should state that dedup is preserved: %q", warnings[0])
+	if got, _ := ha.SessionCount(); got != n {
+		t.Fatalf("SessionCount = %d, want %d distinct sessions", got, n)
 	}
-	// The displaced session (sess-0 was least recently used) thaws with its
-	// window intact: its acked seq still dedups — exactly-once, unbounded.
-	if !h.sessionApplied(h.sessionFor("sess-0"), 1) {
-		t.Fatal("displaced session lost its applied window")
+	ha.DropProgram(a.ID)
+	if got, _ := ha.SessionCount(); got != 1 {
+		t.Fatalf("after dropping A, SessionCount = %d, want 1 (only a-0 also sent to B)", got)
 	}
-	if live, frozen := h.SessionCount(); live != maxSessions || frozen != extra {
-		t.Fatalf("thaw changed totals wrong: live=%d frozen=%d", live, frozen)
+
+	raw, err := journal.EncodeSnapshot(snapA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := journal.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, storeB := newDurableHive(t, t.TempDir(), corpus)
+	defer storeB.Close()
+	if err := hb.ImportProgram(shipped); err != nil {
+		t.Fatal(err)
+	}
+	before := ingested(t, hb, a.ID)
+	for i := 0; i < n; i++ {
+		if dup, err := hb.SubmitTracesSession(fmt.Sprintf("a-%d", i), 1, a.ID, batchA); err != nil || !dup {
+			t.Fatalf("session a-%d re-applied on the new owner: dup=%v err=%v", i, dup, err)
+		}
+	}
+	if got := ingested(t, hb, a.ID); got != before {
+		t.Fatalf("duplicates moved ingest on the new owner: %d -> %d", before, got)
 	}
 }
 

@@ -230,12 +230,12 @@ func TestShedDefersLowRarityNovelty(t *testing.T) {
 	}
 }
 
-// TestShedEvictedSessionAtLeastOnce is the PR 9 satellite, updated by
-// PR 10's unbounded dedup table: a session displaced from the live cache
-// keeps its frozen window, so its resubmission is dup-acked — exactly-once
-// survives cache displacement at any shed pressure, where the old bounded
-// table degraded to at-least-once. (Historical name kept so CI test-name
-// regexes keep matching; the asserted contract is now exactly-once.)
+// TestShedEvictedSessionAtLeastOnce checks that a session's window
+// survives a flood of 4096 other sessions, so its resubmission is
+// dup-acked at any shed pressure — exactly-once, where an early bounded
+// table evicted the session and degraded to at-least-once. (Historical
+// name kept so CI test-name regexes keep matching; the asserted contract
+// is exactly-once.)
 func TestShedEvictedSessionAtLeastOnce(t *testing.T) {
 	p := buildRecomb(t)
 	h, g := shedHive(t, p, &ShedPolicy{Watermark: 0.5})
@@ -245,29 +245,24 @@ func TestShedEvictedSessionAtLeastOnce(t *testing.T) {
 		t.Fatalf("initial submit: dup=%v err=%v", dup, err)
 	}
 
-	// Flood the live cache until "victim" is displaced to the frozen tier.
-	for i := 0; i < maxSessions; i++ {
+	// Flood the table with as many sessions as the old bounded table held.
+	const flood = 4096
+	for i := 0; i < flood; i++ {
 		if _, err := h.SubmitTracesSession(fmt.Sprintf("flood-%d", i), 1, p.ID, []*trace.Trace{tr}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if h.SessionEvictions() == 0 {
-		t.Fatal("flood did not displace any session from the live cache")
-	}
-	if live, frozen := h.SessionCount(); live > maxSessions || frozen == 0 {
-		t.Fatalf("tiering wrong after flood: live=%d frozen=%d", live, frozen)
-	}
 	before := ingested(t, h, p.ID)
 
 	// Resubmit the acked frame verbatim while the hive sheds hard: the
-	// frozen window thaws and the frame is dup-acked before any pricing.
+	// window still holds it, so the frame is dup-acked before any pricing.
 	g.set(0.9)
 	dup, err := h.SubmitTracesSession("victim", 1, p.ID, []*trace.Trace{tr})
 	if err != nil {
 		t.Fatalf("displaced-session resubmission errored: %v", err)
 	}
 	if !dup {
-		t.Fatal("displaced session lost its dedup window (at-least-once regression)")
+		t.Fatal("flooded-out session lost its dedup window (at-least-once regression)")
 	}
 	if got := ingested(t, h, p.ID); got != before {
 		t.Fatalf("dup-acked resubmission was applied: ingested %d, want %d", got, before)
@@ -277,7 +272,7 @@ func TestShedEvictedSessionAtLeastOnce(t *testing.T) {
 	g.set(0)
 	dup, err = h.SubmitTracesSession("victim", 1, p.ID, []*trace.Trace{tr})
 	if err != nil || !dup {
-		t.Fatalf("low-pressure resubmission after displacement: dup=%v err=%v", dup, err)
+		t.Fatalf("low-pressure resubmission after the flood: dup=%v err=%v", dup, err)
 	}
 	if got := ingested(t, h, p.ID); got != before {
 		t.Fatalf("low-pressure resubmission double-applied: ingested %d, want %d", got, before)

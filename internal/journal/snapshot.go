@@ -55,10 +55,14 @@ type ProgramSnapshot struct {
 	// family key -> encoded fragment traces.
 	Coordinated map[string][][]byte `json:"coordinated,omitempty"`
 
-	// Sessions is the exactly-once dedup table (session -> contiguous
-	// applied-sequence base) as of this checkpoint; SessionsAhead carries
-	// any out-of-order applied marks above a session's base. Recovery
-	// union-merges both from every program snapshot and replayed batch op.
+	// Sessions is this program's exactly-once dedup table (session ->
+	// contiguous applied-sequence base for the frames that session sent
+	// about the program) as of this checkpoint; SessionsAhead carries any
+	// out-of-order applied marks above a session's base. Recovery
+	// union-merges both with the program's replayed batch ops. Snapshots
+	// written before the table was per program carry every program's
+	// sessions; merging that superset into one program is safe, since it
+	// only holds seqs some frame really applied.
 	Sessions      map[string]uint64   `json:"sessions,omitempty"`
 	SessionsAhead map[string][]uint64 `json:"sessionsAhead,omitempty"`
 }

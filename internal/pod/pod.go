@@ -120,8 +120,8 @@ type ColumnarSubmitter interface {
 // SessionSubmitter is an optional backend extension for exactly-once
 // ingestion: a per-program batch tagged with the submitting client's
 // session ID and a per-frame sequence number. The backend keeps a
-// per-session window of applied sequence numbers (journaled with the batch
-// when the backend is durable), so a client resubmitting a
+// per-program, per-session window of applied sequence numbers (journaled
+// with the batch when the backend is durable), so a client resubmitting a
 // partially-acknowledged stream over a new connection — or across a backend
 // restart — has each batch ingested exactly once. The dup result reports
 // that the batch was already applied and acknowledged without re-ingesting.

@@ -23,24 +23,27 @@ import (
 // It lazily (re)connects, serializes requests, and surfaces server-side
 // errors as Go errors.
 //
-// Every client carries a random session ID and a monotonically increasing
-// frame sequence number. Submission frames are tagged with both, and a
-// frame resent after a reconnect keeps its original tag, so a backend with
-// a per-session dedup window (hive.Hive) ingests each batch exactly once no
-// matter how many times the link drops mid-stream.
+// Every client carries a random session ID and, per program, a
+// monotonically increasing frame sequence number. Submission frames are
+// tagged with both, and a frame resent after a reconnect keeps its
+// original tag, so a backend with a per-program, per-session dedup window
+// (hive.Hive) ingests each batch exactly once no matter how many times the
+// link drops mid-stream.
 type Client struct {
 	addr    string
 	session string
 
 	mu   sync.Mutex
 	conn net.Conn
-	// seq numbers submission frames; guarded by mu. The server's dedup
-	// window is the exact set of applied seqs per session, so tags only
-	// need to be unique and stable — frames may reach the server in any
-	// order (concurrent streams on a shared client, parked frames
-	// resubmitted drains later) without one frame's progress masking
-	// another's.
-	seq uint64
+	// seqs numbers submission frames per program ID; guarded by mu. The
+	// server's dedup window is the exact set of applied seqs per
+	// (program, session), so tags only need to be unique and stable within
+	// a program — frames may reach the server in any order (concurrent
+	// streams on a shared client, parked frames resubmitted drains later)
+	// without one frame's progress masking another's. Numbering each
+	// program from 1 without gaps lets every program's window compact to
+	// its base instead of holding out-of-order marks.
+	seqs map[string]uint64
 
 	// The fields below cache the current connection's hello (guarded by
 	// mu). Every connection — the first, and every redial after a
@@ -151,7 +154,7 @@ const defaultBusyRetries = 8
 // Dial creates a client for the hive at addr. The connection is established
 // lazily on first use.
 func Dial(addr string) *Client {
-	return &Client{addr: addr, session: newSessionID()}
+	return &Client{addr: addr, session: newSessionID(), seqs: make(map[string]uint64)}
 }
 
 // newSessionID draws a random 16-hex-digit session identity.
@@ -429,7 +432,7 @@ func (c *Client) sealFrameLocked(seq uint64, programID string, traces []*trace.T
 
 // SealTraceBatches implements pod.SealedStreamer: every batch becomes a
 // sequenced per-program frame whose (session, seq) tag is assigned here,
-// once, under the client lock. A sealed frame is a durable exactly-once
+// once, under the client lock, from programID's own sequence. A sealed frame is a durable exactly-once
 // identity: SubmitSealed re-sends the payload verbatim however many times
 // (and across however many drains) it takes, so a dedup-capable backend
 // never applies it twice — in any submission order, because the backend's
@@ -444,8 +447,8 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 	// setting and leaves the error to SubmitSealed.
 	_ = c.dialLocked()
 	for i, batch := range batches {
-		c.seq++
-		msg, payload := c.sealFrameLocked(c.seq, programID, batch)
+		c.seqs[programID]++
+		msg, payload := c.sealFrameLocked(c.seqs[programID], programID, batch)
 		sealed[i] = pod.SealedBatch{
 			ProgramID:  programID,
 			Count:      len(batch),

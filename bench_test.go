@@ -195,9 +195,11 @@ func (c *globalMutexClient) SubmitTraces(traces []*trace.Trace) error {
 }
 
 // benchIngestSetup registers nProgs distinct programs and pre-captures a
-// pool of full-capture traces per program, so the benchmark measures pure
-// ingestion (grouping, bookkeeping, tree merging) with no VM time.
-func benchIngestSetup(b *testing.B, nProgs int) (*hive.Hive, [][]*trace.Trace) {
+// pool of traces per program in the given capture mode, so the benchmark
+// measures pure ingestion (grouping, bookkeeping, tree merging, and for
+// external-only traces the hive's path reconstruction) with no pod-side VM
+// time.
+func benchIngestSetup(b *testing.B, nProgs int, mode trace.CaptureMode) (*hive.Hive, [][]*trace.Trace) {
 	b.Helper()
 	h := hive.New("fleet")
 	pool := make([][]*trace.Trace, nProgs)
@@ -214,7 +216,7 @@ func benchIngestSetup(b *testing.B, nProgs int) (*hive.Hive, [][]*trace.Trace) {
 		}
 		traces := make([]*trace.Trace, 64)
 		for i := range traces {
-			col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
+			col := trace.NewCollector(p, mode, 0, 1)
 			input := []int64{rng.Int63n(256), rng.Int63n(256)}
 			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
 			if err != nil {
@@ -281,7 +283,7 @@ func benchIngest(b *testing.B, client submitter, pool [][]*trace.Trace) {
 // BenchmarkHiveIngestSerialBaseline measures fleet ingestion with the
 // pre-sharding single-global-mutex discipline.
 func BenchmarkHiveIngestSerialBaseline(b *testing.B) {
-	h, pool := benchIngestSetup(b, 4)
+	h, pool := benchIngestSetup(b, 4, trace.CaptureFull)
 	benchIngest(b, &globalMutexClient{h: h}, pool)
 }
 
@@ -301,9 +303,9 @@ func (c *columnarViewClient) submitEncoded(programID string, batch []byte) error
 
 // benchIngestEncodedSetup pre-encodes each program's trace pool into
 // columnar batch payloads of 8 traces — what the wire delivers.
-func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, []string, [][][]byte) {
+func benchIngestEncodedSetup(b *testing.B, nProgs int, mode trace.CaptureMode) (*hive.Hive, []string, [][][]byte) {
 	b.Helper()
-	h, pool := benchIngestSetup(b, nProgs)
+	h, pool := benchIngestSetup(b, nProgs, mode)
 	ids := make([]string, nProgs)
 	columnar := make([][][]byte, nProgs) // program -> batch -> bytes
 	const batchSize = 8
@@ -323,7 +325,10 @@ func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, []string, []
 // BenchmarkHiveIngestParallel measures the fleet ingest path, 8 goroutines
 // round-robining across 4 program shards. The columnar-view sub-benchmark
 // feeds pre-encoded batches (what the wire delivers): one zero-copy view
-// per batch, merged straight from the frame bytes. The materialized
+// per batch, merged straight from the frame bytes. The external-only
+// sub-benchmark feeds the same shape in the pod's default capture mode, so
+// every trace goes through path reconstruction; after the first pass over
+// the pool every path is a reconstruction-memo hit. The materialized
 // sub-benchmark submits Trace structs in process (SubmitTraces, which
 // encodes each group once before the same view path), for continuity with
 // BenchmarkHiveIngestSerialBaseline. traces/op is constant, so ns/op and
@@ -363,13 +368,18 @@ func BenchmarkHiveIngestParallel(b *testing.B) {
 		}
 		b.ReportMetric(batchSize, "traces/op")
 	}
-	b.Run("columnar-view", func(b *testing.B) {
-		h, ids, columnar := benchIngestEncodedSetup(b, 4)
-		c := &columnarViewClient{h: h}
-		run(b, func(pi, batch int) error { return c.submitEncoded(ids[pi], columnar[pi][batch]) }, len(columnar[0]))
-	})
+	for _, arm := range []struct {
+		name string
+		mode trace.CaptureMode
+	}{{"columnar-view", trace.CaptureFull}, {"external-only", trace.CaptureExternalOnly}} {
+		b.Run(arm.name, func(b *testing.B) {
+			h, ids, columnar := benchIngestEncodedSetup(b, 4, arm.mode)
+			c := &columnarViewClient{h: h}
+			run(b, func(pi, batch int) error { return c.submitEncoded(ids[pi], columnar[pi][batch]) }, len(columnar[0]))
+		})
+	}
 	b.Run("materialized", func(b *testing.B) {
-		h, pool := benchIngestSetup(b, 4)
+		h, pool := benchIngestSetup(b, 4, trace.CaptureFull)
 		benchIngest(b, h, pool)
 	})
 }

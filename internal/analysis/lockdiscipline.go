@@ -16,9 +16,10 @@ import (
 //  2. Acquisition order (internal/hive, internal/wire, internal/archive):
 //     the hive's
 //     documented order is session-entry lock ≺ checkpoint gate ≺ program
-//     mu ≺ input stripes (kgMu/coordMu); the registry lock (Hive.mu) and
-//     the per-program session-table lock (programState.sessMu) are leaves
-//     never held across another acquisition. The wire layer's routing
+//     mu ≺ input stripes (kgMu/coordMu); the registry lock (Hive.mu), the
+//     per-program session-table lock (programState.sessMu) and the
+//     hive-wide reconstruction memo's lock (reconCache.mu) are leaves never
+//     held across another acquisition. The wire layer's routing
 //     locks rank BELOW all of the hive's: router placement (Router.mu) ≺
 //     server placement (Server.placeMu) ≺ client connection (Client.mu) —
 //     a server dispatching into the hive may hold a wire lock across hive
@@ -38,7 +39,7 @@ var LockDiscipline = &Analyzer{
 		"lexically later return, and internal/hive + internal/wire + " +
 		"internal/archive lock classes must be acquired in documented order " +
 		"(Router.mu ≺ Server.placeMu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ " +
-		"stripes; Hive.mu, programState.sessMu, the admission locks " +
+		"stripes; Hive.mu, programState.sessMu, reconCache.mu, the admission locks " +
 		"admissionState.mu/connState.qMu, and the archiver sync lock " +
 		"Archiver.mu are leaves)",
 	Run: runLockDiscipline,
@@ -66,6 +67,10 @@ var lockRank = map[string]int{
 	// sessionEntry.mu, and released before anything else is acquired.
 	"Hive.mu":             50,
 	"programState.sessMu": 50,
+	// The reconstruction memo (reconCache.mu) is taken under a program's
+	// checkpoint gate for map operations only; the replay it saves runs
+	// outside it.
+	"reconCache.mu": 50,
 	// PR 9 admission tier: the token-bucket table lock and the
 	// per-connection queued-bytes accounting lock are leaves too — debit
 	// and byte accounting never call back into any other ranked class.
@@ -282,7 +287,7 @@ func checkAcquisitionOrder(p *Pass, events []lockEvent) {
 				hr, hOK := lockRank[h.class]
 				nr, nOK := lockRank[ev.class]
 				if hOK && nOK && nr <= hr && h.class != ev.class {
-					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Server.placeMu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
+					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Server.placeMu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes, with Hive.mu/sessMu/reconCache.mu as leaf locks", ev.key, ev.class, h.key, h.class)
 				}
 			}
 			stack = append(stack, held{key: ev.key, class: ev.class, readSide: ev.readSide})

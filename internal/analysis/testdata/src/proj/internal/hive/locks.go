@@ -1,6 +1,9 @@
 package hive
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // leakOnReturn can return with sessMu still held. Finding expected.
 func (h *Hive) leakOnReturn(cond bool) error {
@@ -66,4 +69,29 @@ func (e *sessionEntry) handoffAllowed(done chan<- *sessionEntry) {
 	e.mu.Lock()
 	done <- e
 	return
+}
+
+// reconCache mirrors the hive-wide reconstruction memo.
+type reconCache struct {
+	mu      sync.Mutex
+	entries map[string][]byte
+}
+
+// memoThenProgram acquires a program lock while holding the leaf memo
+// lock. Finding expected.
+func memoThenProgram(c *reconCache, st *programState) {
+	c.mu.Lock()
+	st.mu.Lock()
+	st.mu.Unlock()
+	c.mu.Unlock()
+}
+
+// memoUnderGate takes the memo lock inside the checkpoint gate, the way
+// ingest does. Clean.
+func memoUnderGate(c *reconCache, st *programState, key string) []byte {
+	st.ckpt.RLock()
+	defer st.ckpt.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[key]
 }

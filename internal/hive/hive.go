@@ -90,6 +90,11 @@ type programState struct {
 	fixes fix.Set
 	epoch int
 
+	// instance identifies this registration of the program hive-wide: it
+	// keys the reconstruction memo (reconCache), so a program dropped and
+	// registered again under the same ID never meets the old one's paths.
+	instance uint64
+
 	// hasBase and deltasSince drive the incremental-checkpoint policy
 	// (full base snapshot first, then delta segments, recompacted every
 	// compactEvery deltas). Both are guarded by the ckpt write gate.
@@ -180,9 +185,14 @@ type sessionEntry struct {
 // Hive is the aggregation and analysis center. All methods are safe for
 // concurrent use.
 type Hive struct {
-	mu       sync.RWMutex // guards the programs map only
-	programs map[string]*programState
-	salt     string
+	mu           sync.RWMutex // guards the programs map and lastInstance
+	programs     map[string]*programState
+	lastInstance uint64 // the last programState.instance handed out
+	salt         string
+
+	// recon memoizes external-only path reconstruction over every program
+	// (recon.go).
+	recon reconCache
 
 	// journal, when attached via Recover, receives every mutation ahead of
 	// application. Nil for a purely in-memory hive.
@@ -240,9 +250,11 @@ func (h *Hive) RegisterProgram(p *prog.Program) error {
 	if _, ok := h.programs[p.ID]; ok {
 		return nil
 	}
+	h.lastInstance++
 	st := &programState{
 		prog:     p,
 		tree:     exectree.New(p.ID),
+		instance: h.lastInstance,
 		proofs:   make(map[proof.Property]*proof.Proof),
 		sessions: make(map[string]*sessionEntry),
 	}
@@ -366,10 +378,10 @@ func (h *Hive) submitEncoded(session string, seq uint64, programID string, trace
 // one ingest path: zero-copy batch ingestion. The view's fields are
 // consumed straight out of the wire frame's bytes — traces are
 // materialized only where the hive must retain one (failure samples,
-// coordinated fragments, external-only reconstruction inputs) — and on a
-// durable hive the journal records *those same bytes*
-// (journal.OpBatchColumnar), so a batch is serialized exactly once in its
-// lifetime: on the pod.
+// coordinated fragments, external-only reconstruction inputs on a
+// reconstruction-memo miss) — and on a durable hive the journal records
+// *those same bytes* (journal.OpBatchColumnar), so a batch is serialized
+// exactly once in its lifetime: on the pod.
 //
 // With a session, submission is deduplicated by (session, seq) within the
 // batch's program — each program keeps its own table, so the same tag about
@@ -450,12 +462,15 @@ type pendingSynthesis struct {
 
 // ingestScratch is the pooled per-batch working set of the view-based
 // apply path: one branch-path buffer, one input buffer, and one signature
-// buffer serve a whole batch, so steady-state ingestion of benign traces
-// allocates nothing per trace.
+// buffer serve a whole batch, and a replay-key buffer plus a full-path
+// buffer serve memoized reconstruction, so steady-state ingestion of benign
+// traces allocates nothing per trace.
 type ingestScratch struct {
 	path  []trace.BranchEvent
 	input []int64
 	sig   []byte
+	key   []byte
+	full  []trace.BranchEvent
 }
 
 var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
@@ -466,11 +481,13 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // against a reference kept in the tests — but materializes a Trace only
 // where one is retained or re-executed: failure samples (once per
 // signature ever), coordinated fragments, and external-only
-// reconstruction. Benign full-capture traffic — the fleet's overwhelming
-// majority — is merged straight from the frame bytes through a reused path
-// buffer. live distinguishes fresh ingestion from journal replay: replay
-// never re-elects fix synthesis — synthesis outcomes are replayed from
-// their own journal ops.
+// reconstruction on a memo miss. Benign full-capture traffic — the fleet's
+// overwhelming majority — is merged straight from the frame bytes through
+// a reused path buffer, and an external-only trace whose path the fleet
+// has already shown is expanded from the reconstruction memo without
+// re-running the VM. live distinguishes fresh ingestion from journal
+// replay: replay never re-elects fix synthesis — synthesis outcomes are
+// replayed from their own journal ops.
 //
 // Evidence visibility is batch-granular: known-good inputs harvested
 // anywhere in the batch are visible when fixes for the batch's failures are
@@ -520,17 +537,18 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	}
 	st.ingested.Add(int64(n))
 
-	// Pass 2 (lock-free) — path expansion and tree merging, in batch order:
-	// external-only traces reconstruct to full paths (on failure they merge
-	// at recorded granularity; the tree stays sound, only less detailed),
-	// completed coordinated families narrow, everything else merges at
-	// recorded granularity straight from the view.
+	// Pass 2 (no shard lock) — path expansion and tree merging, in batch
+	// order: external-only traces reconstruct to full paths through the
+	// hive-wide memo (on failure they merge at recorded granularity; the
+	// tree stays sound, only less detailed), completed coordinated families
+	// narrow, everything else merges at recorded granularity straight from
+	// the view.
 	var reconstructed, narrowed int64
 	for i := 0; i < n; i++ {
 		outcome := v.Outcome(i)
 		var path []trace.BranchEvent
 		if v.Mode(i) == trace.CaptureExternalOnly && singleThreaded {
-			if full, err := exectree.Reconstruct(st.prog, v.Materialize(i)); err == nil {
+			if full, ok := h.reconstructView(st, v, i, sc); ok {
 				path = full
 				reconstructed++
 			}

@@ -128,14 +128,7 @@ func AppendBatch(dst []byte, programID string, traces []*Trace) ([]byte, error) 
 	// section slab, recording per-trace event counts and byte lengths.
 	for _, tr := range traces {
 		stageSection(e, secBranches, len(tr.Branches), func(buf []byte) []byte {
-			for _, b := range tr.Branches {
-				v := uint64(b.ID) << 1
-				if b.Taken {
-					v |= 1
-				}
-				buf = binary.AppendUvarint(buf, v)
-			}
-			return buf
+			return AppendBranchEvents(buf, tr.Branches)
 		})
 		stageSection(e, secSyscalls, len(tr.Syscalls), func(buf []byte) []byte {
 			for _, s := range tr.Syscalls {
@@ -571,13 +564,7 @@ func (v *BatchView) slab(sec, i int) []byte {
 // capacity) and returns the extended slice — the zero-copy path tree
 // merging consumes: one scratch slice serves a whole batch.
 func (v *BatchView) AppendBranches(dst []BranchEvent, i int) []BranchEvent {
-	d := &decoder{buf: v.slab(secBranches, i)}
-	count := v.NumBranches(i)
-	for k := 0; k < count; k++ {
-		raw := d.uvarint()
-		dst = append(dst, BranchEvent{ID: int32(raw >> 1), Taken: raw&1 == 1})
-	}
-	return dst
+	return DecodeBranchEvents(dst, v.slab(secBranches, i))
 }
 
 // AppendInput decodes trace i's raw input vector into dst (reusing its
@@ -589,6 +576,23 @@ func (v *BatchView) AppendInput(dst []int64, i int) []int64 {
 		dst = append(dst, d.varint())
 	}
 	return dst
+}
+
+// AppendReplayKey appends trace i's replay key to dst: the outcome byte,
+// Steps as a uvarint, the length-prefixed branch slab, then the syscall
+// slab. These are every field an external-only path reconstruction reads
+// (the recorded input-dependent directions, the syscall returns, the step
+// budget and the outcome it checks), copied straight out of the frame
+// bytes, so two traces with equal keys replay to the same full path on the
+// same program. The key is only meaningful next to a program and capture
+// mode the caller has already fixed.
+func (v *BatchView) AppendReplayKey(dst []byte, i int) []byte {
+	dst = append(dst, v.outcome[i])
+	dst = binary.AppendUvarint(dst, uint64(v.Steps(i)))
+	branches := v.slab(secBranches, i)
+	dst = binary.AppendUvarint(dst, uint64(len(branches)))
+	dst = append(dst, branches...)
+	return append(dst, v.slab(secSyscalls, i)...)
 }
 
 // FailureSignature appends trace i's failure-signature key to dst — the

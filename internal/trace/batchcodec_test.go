@@ -280,3 +280,57 @@ func TestBatchDecodeRejectsLengthOverflow(t *testing.T) {
 		t.Fatal("batch with wrapping section lengths decoded without error")
 	}
 }
+
+// TestReplayKey: a trace's replay key is fixed by exactly the fields a path
+// reconstruction reads — outcome, Steps, branches and syscalls — and by no
+// other field.
+func TestReplayKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 200; iter++ {
+		base := randomTrace(rng, "prog-key")
+		base.Branches = append(base.Branches, BranchEvent{ID: 3, Taken: true})
+		base.Syscalls = append(base.Syscalls, SyscallEvent{Sysno: 1, Ret: 4})
+		same := randomTrace(rng, "prog-key")
+		same.Outcome, same.Steps = base.Outcome, base.Steps
+		same.Branches = append([]BranchEvent(nil), base.Branches...)
+		same.Syscalls = append([]SyscallEvent(nil), base.Syscalls...)
+
+		differ := make([]*Trace, 5)
+		for i := range differ {
+			d := base.Clone()
+			differ[i] = d
+			switch i {
+			case 0:
+				d.Outcome = (base.Outcome + 1) % 4
+			case 1:
+				d.Steps++
+			case 2:
+				d.Branches[len(d.Branches)-1].Taken = false
+			case 3:
+				d.Branches = d.Branches[:len(d.Branches)-1]
+				d.Syscalls = append(d.Syscalls, SyscallEvent{Sysno: 3})
+			case 4:
+				d.Syscalls[len(d.Syscalls)-1].Ret++
+			}
+		}
+		batch := append([]*Trace{base, same}, differ...)
+		enc, err := EncodeBatch("prog-key", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key0 := v.AppendReplayKey(nil, 0)
+		if !bytes.Equal(key0, v.AppendReplayKey(nil, 1)) {
+			t.Fatalf("iter %d: traces equal on every replayed field have different keys", iter)
+		}
+		for i := 2; i < v.Len(); i++ {
+			if bytes.Equal(key0, v.AppendReplayKey(nil, i)) {
+				t.Fatalf("iter %d: variant %d changes a replayed field but keeps the key", iter, i-2)
+			}
+		}
+		v.Release()
+	}
+}

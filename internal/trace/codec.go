@@ -14,6 +14,40 @@ const codecVersion = 2
 // ErrCodec is returned (wrapped) for any malformed encoded trace.
 var ErrCodec = errors.New("trace: malformed encoding")
 
+// AppendBranchEvents appends the branch-event encoding both trace codecs
+// use — one uvarint ID<<1|taken per event — to dst.
+func AppendBranchEvents(dst []byte, events []BranchEvent) []byte {
+	for _, b := range events {
+		v := uint64(b.ID) << 1
+		if b.Taken {
+			v |= 1
+		}
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
+}
+
+// DecodeBranchEvents appends the events of an AppendBranchEvents encoding
+// to dst. It reads a string as well as a byte slice, so an encoding held as
+// a string decodes without a copy. enc must be well formed (a validated
+// slab, or bytes this process encoded): a truncated last event is dropped,
+// not reported.
+func DecodeBranchEvents[S ~string | ~[]byte](dst []BranchEvent, enc S) []BranchEvent {
+	var raw uint64
+	var shift uint
+	for i := 0; i < len(enc); i++ {
+		b := enc[i]
+		raw |= uint64(b&0x7f) << shift
+		if b >= 0x80 {
+			shift += 7
+			continue
+		}
+		dst = append(dst, BranchEvent{ID: int32(raw >> 1), Taken: raw&1 == 1})
+		raw, shift = 0, 0
+	}
+	return dst
+}
+
 // Encode serializes the trace into a compact varint-based binary form. The
 // encoding is the pod→hive payload; it is deliberately independent of
 // encoding/json so that capture-overhead measurements reflect a realistic
@@ -31,13 +65,7 @@ func Encode(t *Trace) []byte {
 	buf = binary.AppendUvarint(buf, uint64(t.SampleK))
 
 	buf = binary.AppendUvarint(buf, uint64(len(t.Branches)))
-	for _, b := range t.Branches {
-		v := uint64(b.ID) << 1
-		if b.Taken {
-			v |= 1
-		}
-		buf = binary.AppendUvarint(buf, v)
-	}
+	buf = AppendBranchEvents(buf, t.Branches)
 
 	buf = binary.AppendUvarint(buf, uint64(len(t.Syscalls)))
 	for _, s := range t.Syscalls {

@@ -313,3 +313,31 @@ func TestEncodeSizeReasonable(t *testing.T) {
 		t.Fatalf("branches = %d", len(got.Branches))
 	}
 }
+
+// TestBranchEventsRoundTrip: DecodeBranchEvents reads back what
+// AppendBranchEvents wrote, from a byte slice and from a string alike, and
+// never panics on a truncated or arbitrary encoding.
+func TestBranchEventsRoundTrip(t *testing.T) {
+	events := []BranchEvent{{ID: 0, Taken: false}, {ID: 1, Taken: true}, {ID: 63, Taken: true}, {ID: 64, Taken: false}, {ID: 1 << 30, Taken: true}}
+	enc := AppendBranchEvents([]byte{0xaa}, events)[1:]
+	for _, got := range [][]BranchEvent{DecodeBranchEvents(nil, enc), DecodeBranchEvents(nil, string(enc))} {
+		if len(got) != len(events) {
+			t.Fatalf("decoded %d events, want %d", len(got), len(events))
+		}
+		for i := range events {
+			if got[i] != events[i] {
+				t.Fatalf("event %d = %v, want %v", i, got[i], events[i])
+			}
+		}
+	}
+	// The last event takes several bytes; cutting it off drops just it.
+	if got := DecodeBranchEvents(nil, enc[:len(enc)-1]); len(got) != len(events)-1 {
+		t.Fatalf("truncated encoding decoded to %d events, want %d", len(got), len(events)-1)
+	}
+	if err := quick.Check(func(b []byte) bool {
+		DecodeBranchEvents(nil, b)
+		return true
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -61,12 +61,18 @@ type Client struct {
 	placement    *ring.Map
 	lastRedirect *RedirectError
 	// compressing reports the client compresses the frames it seals:
-	// allowed, and either forced or the hello's round trip — a free RTT
-	// probe — reached compressRTTFloor. Compression costs CPU on both
-	// ends, so it auto-engages only when the link is far enough for
-	// bandwidth to be the bottleneck; loopback fleets skip it and keep
-	// their syscall-bound throughput.
+	// allowed, and either forced or minRTT reached compressRTTFloor.
+	// Compression costs CPU on both ends, so it auto-engages only when the
+	// link is far enough for bandwidth to be the bottleneck; loopback
+	// fleets skip it and keep their syscall-bound throughput.
 	compressing bool
+	// minRTT is the fastest round trip this client has completed (0 before
+	// the first): every hello, every single-frame call and every
+	// successful SubmitSealed drain. A call's wall time bounds the link's
+	// RTT from above, so one slow sample (a hello that queued behind a busy
+	// server) cannot hold a loopback client in compression, while a real
+	// long link never produces a fast sample and stays compressing.
+	minRTT time.Duration
 	// helloCount counts hello exchanges this client has run; tests use it
 	// to prove busy replies do not trigger re-hello storms and that a
 	// redial says hello again.
@@ -134,9 +140,9 @@ const maxCoalesceDepth = 1024
 // server's per-frame buffer modest.
 const coalesceByteBudget = 1 << 20
 
-// compressRTTFloor is the hello-RTT above which compression
-// auto-engages: past a few milliseconds the link is a network, not a
-// loopback, and trading CPU for bytes wins.
+// compressRTTFloor is the minimum observed round trip above which
+// compression auto-engages: past a few milliseconds the link is a network,
+// not a loopback, and trading CPU for bytes wins.
 const compressRTTFloor = 5 * time.Millisecond
 
 // compressMinBytes skips compression for frames too small to amortize the
@@ -196,6 +202,7 @@ func (c *Client) callLocked(reqType MsgType, payload []byte) (MsgType, []byte, e
 			lastErr = err
 			continue
 		}
+		start := time.Now()
 		if err := WriteFrame(c.conn, reqType, payload); err != nil {
 			if errors.Is(err, ErrFrame) {
 				// Oversized payload fails on any connection; don't burn the
@@ -214,6 +221,7 @@ func (c *Client) callLocked(reqType MsgType, payload []byte) (MsgType, []byte, e
 			c.conn = nil
 			continue
 		}
+		c.noteRTTLocked(time.Since(start))
 		return respType, resp, nil
 	}
 	return 0, nil, c.retryErrLocked(lastErr)
@@ -241,8 +249,8 @@ func (c *Client) dialLocked() error {
 // helloLocked runs the hello exchange on the current connection: ask for
 // room for mega-frames, adopt the granted limit and the advertised
 // placement. The connection is already established, so the exchange is one
-// request/response round trip — the RTT probe that decides whether
-// compression is worth its CPU.
+// request/response round trip: the first RTT sample deciding whether
+// compression is worth its CPU (noteRTTLocked).
 func (c *Client) helloLocked() error {
 	payload, err := json.Marshal(HelloPayload{MaxFrame: MaxCoalescedFrameSize})
 	if err != nil {
@@ -271,8 +279,17 @@ func (c *Client) helloLocked() error {
 		c.maxFrame = min(ack.MaxFrame, MaxCoalescedFrameSize)
 	}
 	c.placement = placementFromPayload(ack.Placement)
-	c.compressing = !c.DisableCompression && (c.ForceCompress || rtt >= compressRTTFloor)
+	c.noteRTTLocked(rtt)
 	return nil
+}
+
+// noteRTTLocked folds one completed round trip (an upper bound on the
+// link's RTT) into minRTT and re-decides compression from the minimum.
+func (c *Client) noteRTTLocked(rtt time.Duration) {
+	if c.minRTT == 0 || rtt < c.minRTT {
+		c.minRTT = rtt
+	}
+	c.compressing = !c.DisableCompression && (c.ForceCompress || c.minRTT >= compressRTTFloor)
 }
 
 // retryErrLocked wraps the final transport error after a failed retry. On
@@ -442,7 +459,7 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 	sealed := make([]pod.SealedBatch, len(batches))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Connect first: the hello's RTT probe decides compression. Sealing
+	// Connect first: the round trips seen so far decide compression. Sealing
 	// does not need the link, so a failed dial seals with the last known
 	// setting and leaves the error to SubmitSealed.
 	_ = c.dialLocked()
@@ -557,12 +574,14 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 		}
 		var err error
 		var transport bool
+		start := time.Now()
 		if !c.DisableCoalesce {
 			err, transport = c.streamCoalescedLocked(msgs, payloads, counts, &acked, accepted)
 		} else {
 			err, transport = c.streamLocked(msgs, payloads, counts, &acked, accepted)
 		}
 		if err == nil {
+			c.noteRTTLocked(time.Since(start))
 			return nil
 		}
 		if !transport {

@@ -2,13 +2,13 @@ package wire
 
 import (
 	"errors"
-
 	"io"
 	"math"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"repro/internal/hive"
@@ -219,6 +219,13 @@ func TestSubmitForLostAckExactlyOnce(t *testing.T) {
 	}
 }
 
+// isTransportClose reports whether err wraps what a peer that closes every
+// connection at once can cause: EOF or a reset on read, or a broken pipe
+// when a write (the hello included) races the close.
+func isTransportClose(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
 // TestClientSurfacesUnderlyingError asserts the retry-exhausted error wraps
 // the real transport failure instead of a generic unreachability string.
 func TestClientSurfacesUnderlyingError(t *testing.T) {
@@ -244,7 +251,7 @@ func TestClientSurfacesUnderlyingError(t *testing.T) {
 	if gerr == nil {
 		t.Fatal("expected an error from a dead server")
 	}
-	if !errors.Is(gerr, io.EOF) && !strings.Contains(gerr.Error(), "connection reset") {
+	if !isTransportClose(gerr) {
 		t.Fatalf("error does not surface the underlying transport failure: %v", gerr)
 	}
 	if !strings.Contains(gerr.Error(), "unreachable after retry") {
@@ -256,9 +263,11 @@ func TestClientSurfacesUnderlyingError(t *testing.T) {
 	if serr == nil {
 		t.Fatal("expected an error from a dead server")
 	}
-	if !errors.Is(serr, io.EOF) && !strings.Contains(serr.Error(), "connection reset") &&
-		!strings.Contains(serr.Error(), "broken pipe") {
+	if !isTransportClose(serr) {
 		t.Fatalf("stream error does not surface the underlying transport failure: %v", serr)
+	}
+	if !strings.Contains(serr.Error(), "unreachable after retry") {
+		t.Fatalf("stream error lost the retry context: %v", serr)
 	}
 }
 
